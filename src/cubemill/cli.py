@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import formats
-from .complexes import barsub, link, verify_cw
+from .complexes import Finding, ValidationReport, barsub, link, verify_cw
 from .curvature import check_npc, check_special, hyperplane_coordinate, hyperplanes
 from .curvature import is_flag
 from .decomposition import build_all_trees
@@ -88,6 +88,10 @@ def _resolve_labels(X, own_labels, folding_path):
     return find_folding(X), "computed"
 
 
+def _counts(X):
+    return {str(d): n for d, n in X.counts().items()}
+
+
 def _parse_loop(text):
     if text is None:
         return None
@@ -95,13 +99,6 @@ def _parse_loop(text):
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise click.UsageError(f"--loop wants comma-separated integers, got {text!r}")
-
-
-def _labels_payload(labels):
-    return [
-        [v, list(lab) if isinstance(lab, (tuple, list)) else lab]
-        for v, lab in sorted(labels.items())
-    ]
 
 
 _fixture_opt = click.option("--fixture", "fixture_name", type=str, default=None)
@@ -130,23 +127,15 @@ def validate(fixture_name, in_path):
             X, _labels = _load_complex(fixture_name, in_path)
         except NotAdmissible as e:
             report = e.args[0]
-            findings = [
-                {"kind": f.kind, "cells": list(f.cells), "detail": f.detail}
-                for f in getattr(report, "findings", ())
-            ] or [{"kind": "NotAdmissible", "cells": [], "detail": str(report)}]
-            _emit({"ok": False, "findings": findings}, code=1)
+            if not isinstance(report, ValidationReport):
+                finding = Finding("NotAdmissible", (), str(report))
+                report = ValidationReport((finding,))
+            _emit(report.to_payload(), code=1)
             return
         report = verify_cw(X)
-        findings = [
-            {"kind": f.kind, "cells": list(f.cells), "detail": f.detail}
-            for f in report.findings
-        ]
-        payload = {
-            "ok": report.ok,
-            "kind": X.kind,
-            "counts": {str(d): n for d, n in X.counts().items()},
-            "findings": findings,
-        }
+        payload = report.to_payload()
+        payload["kind"] = X.kind
+        payload["counts"] = _counts(X)
         _emit(payload, code=0 if report.ok else 1)
 
     _run(go)
@@ -164,7 +153,7 @@ def barsub_cmd(fixture_name, in_path, out):
         B = barsub(X)
         artifact = formats.serialize_complex(B)
         payload = {
-            "counts": {str(d): n for d, n in B.counts().items()},
+            "counts": _counts(B),
             "dim": B.dim,
         }
         _emit(payload, out=out, artifact=artifact)
@@ -187,7 +176,7 @@ def fold(fixture_name, in_path, folding_path, out):
         payload = {
             "ok": True,
             "source": source,
-            "labels": _labels_payload(labels),
+            "labels": formats.folding_rows(labels),
         }
         _emit(payload, out=out, artifact=artifact)
 
@@ -211,16 +200,14 @@ def gromov(in_path, folding_path, do_verify, out):
             labels = formats.parse_folding(Path(folding_path).read_text())
         r = gromov_hyperbolize(K, labels)
         payload = {
-            "counts": {str(d): n for d, n in r.complex.counts().items()},
-            "folding": _labels_payload(r.folding),
+            "counts": _counts(r.complex),
+            "folding": formats.folding_rows(r.folding),
             "tiles": len(r.tiles),
         }
         code = 0
         if do_verify:
             report = verify_gromov_properties(r)
-            payload["checks"] = [
-                {"name": n, "status": s, "detail": d} for n, s, d in report.checks
-            ]
+            payload["checks"] = report.to_payload()["checks"]
             code = 0 if report.ok else 1
         _emit(payload, code=code, out=out, artifact=formats.serialize_complex(r.complex))
 
@@ -247,7 +234,7 @@ def links(fixture_name, in_path):
                     "simplicial": lk.simplicial,
                     "flag": flag_ok,
                     "witness": sorted(witness) if witness else [],
-                    "counts": {str(d): n for d, n in lk.complex.counts().items()},
+                    "counts": _counts(lk.complex),
                 }
             )
         _emit({"ok": clean, "links": rows}, code=0 if clean else 1)
@@ -344,10 +331,7 @@ def dual(fixture_name, in_path, out):
         D = build_dual(X)
         report = verify_dual_axioms(D)
         payload = D.to_payload()
-        payload["checks"] = [
-            {"name": n, "status": s, "detail": d} for n, s, d in report.checks
-        ]
-        payload["ok"] = report.ok
+        payload.update(report.to_payload())
         _emit(
             payload,
             code=0 if report.ok else 1,
@@ -462,31 +446,22 @@ def tree(fixture_name, in_path, folding_path):
 def fixture_cmd(name, out):
     """Describe a built-in fixture, or list them all."""
 
-    def go():
-        if name is None:
-            rows = []
-            for n in FIXTURE_NAMES:
-                f = fixture(n)
-                rows.append(
-                    {
-                        "name": n,
-                        "description": f.description,
-                        "dim": f.complex.dim,
-                        "counts": {str(d): c for d, c in f.complex.counts().items()},
-                        "simply_connected": f.simply_connected,
-                    }
-                )
-            _emit({"fixtures": rows})
-            return
-        f = _fixture(name)
-        payload = {
+    def describe(f):
+        return {
             "name": f.name,
             "description": f.description,
             "dim": f.complex.dim,
-            "counts": {str(d): c for d, c in f.complex.counts().items()},
+            "counts": _counts(f.complex),
             "simply_connected": f.simply_connected,
-            "labels": _labels_payload(f.labels),
         }
+
+    def go():
+        if name is None:
+            _emit({"fixtures": [describe(fixture(n)) for n in FIXTURE_NAMES]})
+            return
+        f = _fixture(name)
+        payload = describe(f)
+        payload["labels"] = formats.folding_rows(f.labels)
         _emit(payload, out=out, artifact=formats.serialize_complex(f.complex))
 
     _run(go)

@@ -20,7 +20,7 @@ coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CellNotFound, FormatError, NotAdmissible, NotASubdivision
 
@@ -63,74 +63,49 @@ def face_array(arr, i, s):
     return tuple(a for b, a in enumerate(arr) if (b >> i) & 1 == s)
 
 
-def _bit_perm_table(k, perm):
-    # table[b] = image of bitmask b when source bit i moves to dest bit perm[i]
-    n = 1 << k
-    table = [0] * n
-    for b in range(n):
-        c = 0
-        for i in range(k):
-            if (b >> i) & 1:
-                c |= 1 << perm[i]
-        table[b] = c
-    return table
+def _canonical_frame(arr):
+    """The symmetry taking ``arr`` to its canonical form.
 
-
-@lru_cache(maxsize=None)
-def _symmetries(k):
-    # all (table, mask) pairs for the 2^k * k! cube symmetries
-    out = []
-    for perm in permutations(range(k)):
-        table = _bit_perm_table(k, perm)
-        for m in range(1 << k):
-            out.append((perm, tuple(table), m))
-    return tuple(out)
+    Returns the old corner positions in canonical order, the old position of
+    the least corner, and the old axes in canonical order.
+    """
+    k = array_dim(arr)
+    b0 = min(range(len(arr)), key=arr.__getitem__)
+    axes = sorted(range(k), key=lambda i: arr[b0 ^ (1 << i)])
+    positions = [b0]
+    for i in axes:
+        positions += [b ^ (1 << i) for b in positions]
+    return positions, b0, axes
 
 
 def canonical_corner_array(arr):
-    """Lexicographically least corner array over all cube symmetries."""
+    """Lexicographically least corner array over all cube symmetries.
+
+    The corners of an embedded cube are distinct, so the least array has a
+    closed form: the least corner goes to position 0, and the axes are
+    ordered by the value of that corner's neighbour along each of them. The
+    cost is O(k 2^k) for a k-cube, not a search over its k! 2^k symmetries.
+    """
     arr = tuple(arr)
-    k = array_dim(arr)
-    if k == 0:
-        return arr
-    n = len(arr)
-    best = None
-    for _, table, m in _symmetries(k):
-        out = [None] * n
-        for b in range(n):
-            out[table[b] ^ m] = arr[b]
-        if best is None or out < best:
-            best = out
-    return tuple(best)
+    positions, _b0, _axes = _canonical_frame(arr)
+    return tuple(arr[b] for b in positions)
 
 
 def canonicalize_cell(arr, facets):
     """Canonicalize a corner array and reindex its facet list consistently.
 
-    The symmetry ``g(b) = perm(b) xor m`` moving ``arr`` to its canonical form
-    sends the old facet ``(i, s)`` to the new facet
-    ``(perm[i], s xor bit(m, perm[i]))``.
+    The symmetry moving ``arr`` to its canonical form sends the old facet
+    ``(i, s)`` to the new facet ``(rank of axis i, s xor bit i of b0)``, where
+    ``b0`` is the old position of the least corner.
     """
     arr = tuple(arr)
     facets = tuple(facets)
-    k = array_dim(arr)
-    if k == 0:
-        return arr, facets
-    n = len(arr)
-    best = None
-    for perm, table, m in _symmetries(k):
-        out = [None] * n
-        for b in range(n):
-            out[table[b] ^ m] = arr[b]
-        out = tuple(out)
-        if best is None or out < best[0]:
-            best = (out, perm, m)
-    out, perm, m = best
-    new_facets = [None] * (2 * k)
-    for i in range(k):
-        for s in (0, 1):
-            new_facets[2 * perm[i] + (s ^ ((m >> perm[i]) & 1))] = facets[2 * i + s]
-    return out, tuple(new_facets)
+    positions, b0, axes = _canonical_frame(arr)
+    new_facets = []
+    for i in axes:
+        s0 = (b0 >> i) & 1
+        new_facets += [facets[2 * i + s0], facets[2 * i + 1 - s0]]
+    return tuple(arr[b] for b in positions), tuple(new_facets)
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +144,25 @@ class ValidationReport:
             "findings": [
                 {"kind": f.kind, "cells": list(f.cells), "detail": f.detail}
                 for f in self.findings
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Named structural checks, each with a status in pass|fail|n/a."""
+
+    checks: tuple  # (name, status, detail)
+
+    @property
+    def ok(self):
+        return all(status != "fail" for (_n, status, _d) in self.checks)
+
+    def to_payload(self):
+        return {
+            "ok": self.ok,
+            "checks": [
+                {"name": n, "status": s, "detail": d} for (n, s, d) in self.checks
             ],
         }
 
@@ -487,14 +481,6 @@ class CubicalComplex:
             out.append(self.face_of(cid, constraints))
         return out
 
-    def covers(self):
-        """All codimension-1 inclusion pairs (face cid, cell cid)."""
-        out = []
-        for c in sorted(self.cells):
-            for f in self.cells[c].facets:
-                out.append((f, c))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # relaxed admissibility (embedded cubes, disjoint-unions-of-faces intersections)
@@ -700,20 +686,6 @@ def barsub(X):
     raise TypeError("barsub expects a simplicial or cubical complex")
 
 
-def dim_labels(S):
-    """The dimension labeling of a barycentric subdivision: face -> dim.
-
-    Valid for complexes whose vertices are frozensets (simplicial provenance);
-    for cubical provenance pass the source to measure cell dimensions instead.
-    """
-    out = {}
-    for v in S.vertices:
-        if not isinstance(v, frozenset):
-            raise TypeError("dim_labels needs frozenset vertices from barsub")
-        out[v] = len(v) - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cubical subdivision
 
@@ -770,17 +742,3 @@ def graph_complex(edges, isolated=()):
     maximal = [tuple(e) for e in edges]
     maximal.extend((v,) for v in isolated)
     return CubicalComplex.from_maximal_cells(maximal)
-
-
-def simplicial_graph_as_cubical(S):
-    """Convert a simplicial complex of dimension <= 1 into a cubical graph."""
-    if S.dim > 1:
-        raise TypeError("only graphs convert directly")
-    order = {v: i for i, v in enumerate(S.vertices)}
-    edges = [tuple(order[v] for v in sorted(f, key=name_key)) for f in S.faces_of_dim(1)]
-    lone = [
-        order[v]
-        for v in S.vertices
-        if not any(v in f for f in S.faces_of_dim(1))
-    ]
-    return graph_complex(edges, isolated=lone)

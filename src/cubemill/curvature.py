@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .complexes import SimplicialComplex, all_links, name_key
-from .folding import _DSU, _label_of
+from .folding import _label_of, parallelism_classes
 
 
 def is_flag(S):
@@ -94,17 +94,8 @@ class Hyperplane:
 
 def hyperplanes(X):
     """Edge classes under square opposition, with their carrier cells."""
-    dsu = _DSU(X.by_dim.get(1, []))
-    for sq in X.by_dim.get(2, []):
-        f = X.cells[sq].facets
-        dsu.union(f[0], f[1])
-        dsu.union(f[2], f[3])
-    classes = {}
-    for e in X.by_dim.get(1, []):
-        classes.setdefault(dsu.find(e), []).append(e)
     out = []
-    for idx, root in enumerate(sorted(classes)):
-        edges = tuple(sorted(classes[root]))
+    for idx, edges in enumerate(parallelism_classes(X).values()):
         eset = set(edges)
         carriers = sorted(
             cid

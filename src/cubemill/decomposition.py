@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from ._concurrency import parallel_map
-from .folding import _DSU, mirrors
+from .folding import chambers_avoiding, mirrors
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,7 @@ class TreeOfSpaces:
         return self.connected and self.acyclic
 
     def graph(self):
-        g = nx.Graph()
-        g.add_nodes_from(("mirror", m) for m in self.mirror_indices)
-        g.add_nodes_from(("chamber", k) for k in range(len(self.chambers)))
-        g.add_edges_from((("mirror", m), ("chamber", k)) for m, k in self.edges)
-        return g
+        return _incidence_graph(self.mirror_indices, len(self.chambers), self.edges)
 
     def to_payload(self):
         return {
@@ -65,18 +60,7 @@ def build_tree(Y, labels, i, mirror_list=None):
     for M in mine:
         cut |= M.cells
 
-    tops = Y.top_cells()
-    dsu = _DSU(tops)
-    for cid in sorted(Y.cells):
-        if cid in cut or Y.cells[cid].dim != Y.dim - 1:
-            continue
-        holder = [p for (p, _, _) in Y.cofaces[cid] if not Y.cofaces[p]]
-        for other in holder[1:]:
-            dsu.union(holder[0], other)
-    grouped = {}
-    for t in tops:
-        grouped.setdefault(dsu.find(t), []).append(t)
-    chambers = tuple(sorted((tuple(sorted(g)) for g in grouped.values())))
+    chambers = chambers_avoiding(Y, cut)
 
     edges = []
     for M in mine:
@@ -84,10 +68,7 @@ def build_tree(Y, labels, i, mirror_list=None):
             if any(Y.subcells(t) & M.cells for t in chamber):
                 edges.append((M.index, k))
 
-    g = nx.Graph()
-    g.add_nodes_from(("mirror", M.index) for M in mine)
-    g.add_nodes_from(("chamber", k) for k in range(len(chambers)))
-    g.add_edges_from((("mirror", m), ("chamber", k)) for m, k in edges)
+    g = _incidence_graph([M.index for M in mine], len(chambers), edges)
     connected = nx.is_connected(g) if g.number_of_nodes() else True
     acyclic = nx.is_forest(g) if g.number_of_nodes() else True
     leafless = all(d >= 2 for _n, d in g.degree)
@@ -103,9 +84,15 @@ def build_tree(Y, labels, i, mirror_list=None):
     )
 
 
+def _incidence_graph(mirror_indices, n_chambers, edges):
+    g = nx.Graph()
+    g.add_nodes_from(("mirror", m) for m in mirror_indices)
+    g.add_nodes_from(("chamber", k) for k in range(n_chambers))
+    g.add_edges_from((("mirror", m), ("chamber", k)) for m, k in edges)
+    return g
+
+
 def build_all_trees(Y, labels):
     """One decomposition per folding coordinate, built independently."""
     ml = mirrors(Y, labels)
-    return tuple(
-        parallel_map(lambda i: build_tree(Y, labels, i, mirror_list=ml), range(Y.dim))
-    )
+    return tuple(build_tree(Y, labels, i, mirror_list=ml) for i in range(Y.dim))

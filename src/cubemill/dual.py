@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .complexes import (
+    CheckReport,
     CubicalComplex,
     SimplicialComplex,
     cubical_subdivision,
@@ -114,23 +115,6 @@ def tops_containing(D, dual_vertices):
 # axioms
 
 
-@dataclass(frozen=True)
-class DualReport:
-    checks: tuple  # (name, status, detail)
-
-    @property
-    def ok(self):
-        return all(status != "fail" for (_n, status, _d) in self.checks)
-
-    def to_payload(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": n, "status": s, "detail": d} for (n, s, d) in self.checks
-            ],
-        }
-
-
 def verify_dual_axioms(D):
     """Exhaustively check the height axioms of a dual complex.
 
@@ -220,7 +204,7 @@ def verify_dual_axioms(D):
                         bad.append((u, a, b, w))
     checks.append(_verdict("interval-complete", bad))
 
-    return DualReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 def _verdict(name, bad):
@@ -249,9 +233,6 @@ class DualMirror:
     cells: frozenset  # dual cells of the full subcomplex over the mirror
     components: tuple  # complement components (frozensets of dual vertices)
     component_of: dict  # complement dual vertex -> component index
-
-    def region_contains(self, v):
-        return v in self.vertices
 
 
 def dual_mirror(D, M):

@@ -337,30 +337,35 @@ class SeparationReport:
     framing_count: int
 
 
-def mirror_separates(X, M):
-    """Does the mirror separate all of its framings?
+def chambers_avoiding(X, cut):
+    """Chambers of ``X`` cut along the cells in ``cut``.
 
-    Components are those of the top-cube adjacency graph with adjacencies
-    through mirror cells deleted: two top cells are adjacent when they share
-    a codimension-1 face outside the mirror.
+    Chambers are the components of the top-cube adjacency graph in which two
+    top cells are adjacent when they share a codimension-1 face outside
+    ``cut``. Each chamber is a sorted tuple of top cell ids; chambers are
+    ordered by their least top cell.
     """
     tops = X.top_cells()
     dsu = _DSU(tops)
-    for cid in sorted(X.cells):
-        cube = X.cells[cid]
-        if cid in M.cells:
+    for cid in X.by_dim.get(X.dim - 1, []):
+        if cid in cut:
             continue
         holder = [p for (p, _, _) in X.cofaces[cid] if not X.cofaces[p]]
-        if cube.dim == X.dim - 1 and len(holder) > 1:
-            for other in holder[1:]:
-                dsu.union(holder[0], other)
-    comps = {}
+        for other in holder[1:]:
+            dsu.union(holder[0], other)
+    grouped = {}
     for t in tops:
-        comps.setdefault(dsu.find(t), []).append(t)
-    comp_of = {}
-    for idx, root in enumerate(sorted(comps)):
-        for t in comps[root]:
-            comp_of[t] = idx
+        grouped.setdefault(dsu.find(t), []).append(t)
+    return tuple(tuple(grouped[root]) for root in sorted(grouped))
+
+
+def mirror_separates(X, M):
+    """Does the mirror separate all of its framings?
+
+    Components are the chambers of ``X`` cut along the mirror's cells.
+    """
+    comps = chambers_avoiding(X, M.cells)
+    comp_of = {t: idx for idx, comp in enumerate(comps) for t in comp}
     fr = framings(X, M)
     separated = all(comp_of[c1] != comp_of[c2] for (_s, (c1, c2)) in fr)
     return SeparationReport(M.index, separated, len(comps), comp_of, len(fr))

@@ -13,6 +13,11 @@ from .complexes import CubicalComplex, SimplicialComplex, name_key
 from .errors import FormatError
 from .surgery import BacktrackRemoval, MoveChain, Rotate, SquareSlide, Split
 
+# Largest cell dimension a parsed complex may have. A k-cube's closure has
+# 3^k faces and a simplex on n vertices has 2^n - 1 faces, so one oversized
+# cell in a small file could otherwise exhaust memory.
+MAX_CELL_DIM = 8
+
 
 # ---------------------------------------------------------------------------
 # json helpers
@@ -40,6 +45,13 @@ def _expect(doc, field, types, where=""):
             field=where + field,
         )
     return value
+
+
+def _check_corner_count(corners, field):
+    if len(corners) == 0 or len(corners) & (len(corners) - 1):
+        raise FormatError("corner count must be a power of two", field=field)
+    if len(corners) > 1 << MAX_CELL_DIM:
+        raise FormatError(f"cell dimension exceeds the cap {MAX_CELL_DIM}", field=field)
 
 
 def _int_list(value, field):
@@ -90,15 +102,16 @@ def parse_complex(text):
             faces.append(tuple(_int_list(f, f"maximal[{i}]")))
             if len(set(faces[-1])) != len(faces[-1]):
                 raise FormatError("repeated vertex in face", field=f"maximal[{i}]")
+            if len(faces[-1]) > MAX_CELL_DIM + 1:
+                raise FormatError(
+                    f"face dimension exceeds the cap {MAX_CELL_DIM}", field=f"maximal[{i}]"
+                )
         return SimplicialComplex(faces)
     if kind == "cubical":
         maximal = _expect(doc, "maximal", (list,))
         lists = [_int_list(f, f"maximal[{i}]") for i, f in enumerate(maximal)]
         for i, arr in enumerate(lists):
-            if len(arr) == 0 or len(arr) & (len(arr) - 1):
-                raise FormatError(
-                    "corner count must be a power of two", field=f"maximal[{i}]"
-                )
+            _check_corner_count(arr, f"maximal[{i}]")
         return CubicalComplex.from_maximal_cells(lists)
     if kind == "cw":
         raw = _expect(doc, "cells", (list,))
@@ -114,10 +127,7 @@ def parse_complex(text):
                 _expect(entry, "facets", (list,), f"cells[{i}]."),
                 f"cells[{i}].facets",
             )
-            if len(corners) == 0 or len(corners) & (len(corners) - 1):
-                raise FormatError(
-                    "corner count must be a power of two", field=f"cells[{i}].corners"
-                )
+            _check_corner_count(corners, f"cells[{i}].corners")
             name = corners[0] if len(corners) == 1 else ("cell", i)
             named[name] = (corners, facets)
         # facet references are list positions; remap them to names
@@ -145,14 +155,18 @@ def parse_complex(text):
 # foldings
 
 
+def folding_rows(labels):
+    """Folding labels as ``[vertex, label]`` rows in canonical vertex order."""
+    return [
+        [v, list(labels[v]) if isinstance(labels[v], (tuple, list)) else labels[v]]
+        for v in sorted(labels, key=name_key)
+    ]
+
+
 def serialize_folding(labels):
     """Canonical JSON text for folding labels (cubical bit tuples or
     simplicial vertex labels)."""
-    rows = []
-    for v in sorted(labels, key=name_key):
-        lab = labels[v]
-        rows.append([v, list(lab) if isinstance(lab, (tuple, list)) else lab])
-    return dumps_json({"kind": "folding", "labels": rows})
+    return dumps_json({"kind": "folding", "labels": folding_rows(labels)})
 
 
 def parse_folding(text):

@@ -27,6 +27,7 @@ from itertools import combinations
 import networkx as nx
 
 from .complexes import (
+    CheckReport,
     CubicalComplex,
     SimplicialComplex,
     barsub,
@@ -354,23 +355,6 @@ def _source_link_multigraph(K, v):
     return g
 
 
-@dataclass(frozen=True)
-class GromovReport:
-    checks: tuple  # (name, status, detail), status in pass|fail|n/a
-
-    @property
-    def ok(self):
-        return all(status != "fail" for (_n, status, _d) in self.checks)
-
-    def to_payload(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": n, "status": s, "detail": d} for (n, s, d) in self.checks
-            ],
-        }
-
-
 def verify_gromov_properties(result):
     """Run every applicable structural check on a hyperbolization result.
 
@@ -469,7 +453,7 @@ def verify_gromov_properties(result):
     else:
         checks.append(("boundaryless-preserved", "n/a", "source has boundary"))
 
-    return GromovReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 def _simplicial_boundaryless(K):

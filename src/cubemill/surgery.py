@@ -55,10 +55,6 @@ def path_length(p):
     return len(p) - 1
 
 
-def path_height(D, p):
-    return max(D.heights[v] for v in p)
-
-
 def is_loop(p):
     return len(p) >= 1 and p[0] == p[-1]
 

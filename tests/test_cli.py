@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from cubemill.cli import main
 from cubemill.dual import build_dual
 from cubemill.fixtures import fixture
-from cubemill.formats import parse_complex
+from cubemill.formats import MAX_CELL_DIM, parse_complex
 from cubemill.surgery import random_loop
 
 runner = CliRunner()
@@ -155,6 +155,16 @@ def test_parse_errors_exit_with_usage_code(tmp_path):
     r = run("validate", "--in", str(path))
     assert r.exit_code == 2
     assert payload(r)["error"] == "FormatError"
+    # cells above the dimension cap are refused before any face is built
+    for doc in (
+        {"kind": "cubical", "maximal": [list(range(1 << (MAX_CELL_DIM + 1)))]},
+        {"kind": "simplicial", "maximal": [list(range(MAX_CELL_DIM + 2))]},
+    ):
+        path.write_text(json.dumps(doc))
+        r = run("validate", "--in", str(path))
+        assert r.exit_code == 2
+        assert payload(r)["error"] == "FormatError"
+        assert "cap" in payload(r)["detail"]
 
 
 def test_gromov_with_a_coloring_yields_the_square_model(tmp_path):

@@ -8,8 +8,10 @@ from cubemill.complexes import (
     SimplicialComplex,
     barsub,
     canonical_corner_array,
+    canonicalize_cell,
     check_subdivision,
     cubical_subdivision,
+    face_array,
     graph_complex,
     link,
     validate_cubical,
@@ -23,14 +25,51 @@ from cubemill.fixtures import doubled_square_lists, fixture
 # canonical corner arrays
 
 
-def test_canonical_array_is_symmetry_invariant():
-    # all 8 symmetries of a square leave the canonical form fixed
-    base = (3, 7, 11, 19)
-    canon = canonical_corner_array(base)
-    swapped_axes = (3, 11, 7, 19)
-    flipped = (7, 3, 19, 11)
-    assert canonical_corner_array(swapped_axes) == canon
-    assert canonical_corner_array(flipped) == canon
+@st.composite
+def cells_with_a_symmetry(draw):
+    """An embedded k-cube (k <= 4) with facet ids, an axis permutation and a
+    flip mask."""
+    k = draw(st.integers(0, 4))
+    ids = st.integers(0, 10**6)
+    corners = draw(st.lists(ids, min_size=1 << k, max_size=1 << k, unique=True))
+    facets = draw(st.lists(ids, min_size=2 * k, max_size=2 * k, unique=True))
+    perm = draw(st.permutations(range(k)))
+    mask = draw(st.integers(0, (1 << k) - 1))
+    return tuple(corners), tuple(facets), perm, mask
+
+
+def act(arr, facets, perm, mask):
+    """The image of a cell under the cube symmetry ``b -> perm(b) xor mask``."""
+    k = len(perm)
+    moved = [None] * len(arr)
+    for b, v in enumerate(arr):
+        image = sum(1 << perm[i] for i in range(k) if (b >> i) & 1)
+        moved[image ^ mask] = v
+    moved_facets = [None] * (2 * k)
+    for i in range(k):
+        for s in (0, 1):
+            moved_facets[2 * perm[i] + (s ^ ((mask >> perm[i]) & 1))] = facets[2 * i + s]
+    return tuple(moved), tuple(moved_facets)
+
+
+@given(cells_with_a_symmetry())
+def test_canonical_array_is_symmetry_invariant(cell):
+    arr, facets, perm, mask = cell
+    k = len(perm)
+    canon, canon_facets = canonicalize_cell(arr, facets)
+    assert canonicalize_cell(*act(arr, facets, perm, mask)) == (canon, canon_facets)
+    assert canonical_corner_array(arr) == canon
+    # the least corner comes first and its axis neighbours increase
+    assert canon[0] == min(arr)
+    gens = [canon[1 << j] for j in range(k)]
+    assert gens == sorted(gens)
+    # each facet id still names the face with the same corners
+    corners_of = {
+        facets[2 * i + s]: set(face_array(arr, i, s)) for i in range(k) for s in (0, 1)
+    }
+    for j in range(k):
+        for t in (0, 1):
+            assert corners_of[canon_facets[2 * j + t]] == set(face_array(canon, j, t))
 
 
 @given(st.permutations(range(8)))
@@ -128,6 +167,9 @@ def test_counts_and_euler_characteristic():
     assert X.counts() == {0: 8, 1: 12, 2: 6, 3: 1}
     assert X.euler_characteristic() == 1
     assert fixture("torus4").complex.euler_characteristic() == 0
+    five = CubicalComplex.from_maximal_cells([tuple(range(32))])
+    assert five.counts() == {0: 32, 1: 80, 2: 80, 3: 40, 4: 10, 5: 1}
+    assert five.euler_characteristic() == 1
 
 
 def test_subcells_and_face_of():

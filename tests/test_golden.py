@@ -32,44 +32,29 @@ ARTIFACTS = ("barsub", "fold", "dual")
 
 
 def _cases():
-    """Case id -> list of (argv builder, writes an artifact) steps."""
+    """Case id -> list of (argv, writes an artifact) steps; ``{d}`` in an
+    argument stands for the case's working directory."""
     cases = {}
     for name in FIXTURE_NAMES:
         for sub in REPORTS:
-            cases[f"{sub}/{name}"] = [(lambda d, s=sub, n=name: [s, "--fixture", n], False)]
+            cases[f"{sub}/{name}"] = [([sub, "--fixture", name], False)]
         for sub in ARTIFACTS:
-            cases[f"{sub}/{name}"] = [(lambda d, s=sub, n=name: [s, "--fixture", n], True)]
+            cases[f"{sub}/{name}"] = [([sub, "--fixture", name], True)]
         cases[f"contract-seed0/{name}"] = [
-            (lambda d, n=name: ["contract", "--fixture", n, "--seed", "0"], False)
+            (["contract", "--fixture", name, "--seed", "0"], False)
         ]
-        cases[f"fixture/{name}"] = [(lambda d, n=name: ["fixture", n], True)]
-    cases["fixture/list"] = [(lambda d: ["fixture"], False)]
-
-    def triangle(d):
-        (d / "triangle.json").write_text(TRIANGLE)
-        return str(d / "triangle.json")
-
-    def colors(d):
-        (d / "colors.json").write_text(COLORS)
-        return str(d / "colors.json")
-
+        cases[f"fixture/{name}"] = [(["fixture", name], True)]
+    cases["fixture/list"] = [(["fixture"], False)]
+    triangle = ["gromov", "--in", "{d}/triangle.json"]
     cases["gromov/triangle-colored"] = [
-        (lambda d: ["gromov", "--in", triangle(d), "--folding", colors(d), "--verify"], True)
+        (triangle + ["--folding", "{d}/colors.json", "--verify"], True)
     ]
-    cases["gromov/triangle"] = [(lambda d: ["gromov", "--in", triangle(d), "--verify"], True)]
-
-    contract = (
-        lambda d: ["contract", "--fixture", "grid2", "--loop", GRID2_LOOP, "--verify"],
-        True,
-    )
-    verify = (
-        lambda d: [
-            "verify", "--fixture", "grid2", "--loop", GRID2_LOOP,
-            "--cert", str(d / "artifact"),
-        ],
-        False,
-    )
-    cases["roundtrip/grid2"] = [contract, verify]
+    cases["gromov/triangle"] = [(triangle + ["--verify"], True)]
+    loop = ["--fixture", "grid2", "--loop", GRID2_LOOP]
+    cases["roundtrip/grid2"] = [
+        (["contract"] + loop + ["--verify"], True),
+        (["verify"] + loop + ["--cert", "{d}/artifact"], False),
+    ]
     return cases
 
 
@@ -82,13 +67,15 @@ def _digest(data):
 
 def run_case(case_id, workdir):
     """Run every step of one case in ``workdir`` and digest what it wrote."""
+    (workdir / "triangle.json").write_text(TRIANGLE)
+    (workdir / "colors.json").write_text(COLORS)
+    out = workdir / "artifact"
     runner = CliRunner()
     records = []
-    for build, writes in CASES[case_id]:
-        argv = build(workdir)
-        out = workdir / "artifact"
+    for argv, writes in CASES[case_id]:
+        argv = [arg.format(d=workdir) for arg in argv]
         if writes:
-            argv = argv + ["--out", str(out)]
+            argv += ["--out", str(out)]
         result = runner.invoke(main, argv, catch_exceptions=False)
         records.append(
             {
