@@ -70,11 +70,12 @@ def _canonical_frame(arr):
     the least corner, and the old axes in canonical order.
     """
     k = array_dim(arr)
-    b0 = min(range(len(arr)), key=arr.__getitem__)
+    b0 = arr.index(min(arr))
     axes = sorted(range(k), key=lambda i: arr[b0 ^ (1 << i)])
     positions = [b0]
     for i in axes:
-        positions += [b ^ (1 << i) for b in positions]
+        bit = 1 << i
+        positions += [b ^ bit for b in positions]
     return positions, b0, axes
 
 
@@ -87,8 +88,12 @@ def canonical_corner_array(arr):
     cost is O(k 2^k) for a k-cube, not a search over its k! 2^k symmetries.
     """
     arr = tuple(arr)
+    if len(arr) < 3:
+        # vertices and edges, the most frequent calls: the least array is sorted
+        array_dim(arr)
+        return tuple(sorted(arr))
     positions, _b0, _axes = _canonical_frame(arr)
-    return tuple(arr[b] for b in positions)
+    return tuple([arr[b] for b in positions])
 
 
 def canonicalize_cell(arr, facets):
@@ -100,12 +105,14 @@ def canonicalize_cell(arr, facets):
     """
     arr = tuple(arr)
     facets = tuple(facets)
+    if len(arr) == 1:
+        return arr, facets
     positions, b0, axes = _canonical_frame(arr)
     new_facets = []
     for i in axes:
         s0 = (b0 >> i) & 1
         new_facets += [facets[2 * i + s0], facets[2 * i + 1 - s0]]
-    return tuple(arr[b] for b in positions), tuple(new_facets)
+    return tuple([arr[b] for b in positions]), tuple(new_facets)
 
 
 @lru_cache(maxsize=None)
