@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import formats
-from .complexes import Finding, ValidationReport, barsub, link, verify_cw
+from .complexes import Finding, SimplicialComplex, ValidationReport, barsub, link, verify_cw
 from .curvature import check_npc, check_special, hyperplane_coordinate, hyperplanes
 from .curvature import is_flag
 from .decomposition import build_all_trees
@@ -35,6 +35,7 @@ from .surgery import (
     contract_loop,
     crossings,
     random_loop,
+    surgery_context,
     verify_certificate,
 )
 
@@ -66,14 +67,21 @@ def _fixture(name):
         raise click.UsageError(str(e)) from None
 
 
-def _load_complex(fixture_name, in_path):
-    """Resolve the input complex and the folding labels that came with it."""
+def _load_complex(fixture_name, in_path, simplicial_ok=False):
+    """Resolve the input complex and the folding labels that came with it.
+
+    Only subcommands that pass ``simplicial_ok`` take a simplicial file; for
+    the others it is a usage error.
+    """
     if (fixture_name is None) == (in_path is None):
         raise click.UsageError("provide exactly one of --fixture or --in")
     if fixture_name is not None:
         f = _fixture(fixture_name)
         return f.complex, f.labels
-    return formats.parse_complex(Path(in_path).read_text()), None
+    X = formats.parse_complex(Path(in_path).read_text())
+    if isinstance(X, SimplicialComplex) and not simplicial_ok:
+        raise FormatError("this subcommand wants a cubical or cw complex", field="kind")
+    return X, None
 
 
 def _resolve_labels(X, own_labels, folding_path):
@@ -149,7 +157,7 @@ def barsub_cmd(fixture_name, in_path, out):
     """Barycentric subdivision; the artifact is a simplicial complex file."""
 
     def go():
-        X, _labels = _load_complex(fixture_name, in_path)
+        X, _labels = _load_complex(fixture_name, in_path, simplicial_ok=True)
         B = barsub(X)
         artifact = formats.serialize_complex(B)
         payload = {
@@ -386,7 +394,8 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
             _emit({"error": "BadLoop", "detail": str(e)}, code=2)
             return
         cert = contract_loop(D, p, labels)
-        mu = sum(crossings(D, p, M).count for M in mirrors(X, labels))
+        ctx = surgery_context(D, labels)
+        mu = sum(crossings(ctx, p, M).count for M in ctx.mirrors)
         payload = {
             "ok": True,
             "loop": list(p),

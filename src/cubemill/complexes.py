@@ -21,8 +21,15 @@ coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
-from .errors import CellNotFound, FormatError, NotAdmissible, NotASubdivision
+from .errors import CellNotFound, FormatError, NotAdmissible, NotASubdivision, Unsupported
+
+# Most maximal flags ``barsub`` builds. A face on n vertices has n! maximal
+# flags and a top k-cube 2^k k!, and every flag is closed over its subsets,
+# so one cell at the parse cap (a 9-vertex face: 362880 flags) could exhaust
+# memory. The largest subdivided fixture, ``sphere``, has 2304.
+MAX_BARSUB_FLAGS = 1 << 14
 
 # ---------------------------------------------------------------------------
 # ordering helper for heterogeneous construction names
@@ -602,11 +609,11 @@ class SimplicialComplex:
                 for sub in combinations(sorted(f, key=name_key), r):
                     faces.add(frozenset(sub))
         self.faces = frozenset(faces)
+        # faces are closed under subsets, so a face lies in a larger one
+        # exactly when it is a facet of one
+        covered = {g - {v} for g in faces if len(g) > 1 for v in g}
         self.maximal = tuple(
-            sorted(
-                (f for f in faces if not any(f < g for g in faces)),
-                key=lambda f: (len(f), name_key(f)),
-            )
+            sorted(faces - covered, key=lambda f: (len(f), name_key(f)))
         )
         self.vertices = sorted({v for f in faces for v in f}, key=name_key)
 
@@ -657,8 +664,19 @@ def barsub(X):
     For a simplicial complex the new vertices are the faces themselves
     (frozensets); simplices are chains under inclusion. For a cubical complex
     the new vertices are cell ids and simplices are chains in the face poset.
-    Either way the result is simplicial of the same dimension.
+    Either way the result is simplicial of the same dimension. Inputs with
+    more than ``MAX_BARSUB_FLAGS`` maximal flags are refused as Unsupported.
     """
+    if isinstance(X, SimplicialComplex):
+        flags = sum(factorial(len(f)) for f in X.maximal)
+    elif isinstance(X, CubicalComplex):
+        flags = sum((1 << k) * factorial(k) for k in (X.cells[t].dim for t in X.top_cells()))
+    else:
+        raise TypeError("barsub expects a simplicial or cubical complex")
+    if flags > MAX_BARSUB_FLAGS:
+        raise Unsupported(
+            f"barycentric subdivision needs {flags} maximal flags, over the cap {MAX_BARSUB_FLAGS}"
+        )
     if isinstance(X, SimplicialComplex):
         chains = []
 
@@ -676,21 +694,19 @@ def barsub(X):
         # a chain is maximal when it runs from a vertex up to its maximal face
         maximal = [frozenset(c) for c in chains if len(c[-1]) == len(c)]
         return SimplicialComplex(maximal)
-    if isinstance(X, CubicalComplex):
-        flags = []
+    chains = []
 
-        def grow(chain, cid):
-            cube = X.cells[cid]
-            if cube.dim == 0:
-                flags.append(frozenset(chain))
-                return
-            for f in sorted(set(cube.facets)):
-                grow(chain + [f], f)
+    def grow(chain, cid):
+        cube = X.cells[cid]
+        if cube.dim == 0:
+            chains.append(frozenset(chain))
+            return
+        for f in sorted(set(cube.facets)):
+            grow(chain + [f], f)
 
-        for t in X.top_cells():
-            grow([t], t)
-        return SimplicialComplex(flags)
-    raise TypeError("barsub expects a simplicial or cubical complex")
+    for t in X.top_cells():
+        grow([t], t)
+    return SimplicialComplex(chains)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ self-osculations and inter-osculations.
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .complexes import SimplicialComplex, all_links, name_key
 from .folding import _label_of, parallelism_classes
 
@@ -23,6 +21,8 @@ def is_flag(S):
     Cliques are enumerated in increasing size so the witness is minimal;
     among minimal failures the lexicographically least vertex set is chosen.
     """
+    import networkx as nx
+
     if not isinstance(S, SimplicialComplex):
         raise TypeError("expected a simplicial complex")
     g = S.skeleton_graph()

@@ -10,8 +10,6 @@ diagnoses a non-simply-connected source and a leaf diagnoses boundary.
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .folding import chambers_avoiding, mirrors
 
 
@@ -68,6 +66,8 @@ def build_tree(Y, labels, i, mirror_list=None):
             if any(Y.subcells(t) & M.cells for t in chamber):
                 edges.append((M.index, k))
 
+    import networkx as nx
+
     g = _incidence_graph([M.index for M in mine], len(chambers), edges)
     connected = nx.is_connected(g) if g.number_of_nodes() else True
     acyclic = nx.is_forest(g) if g.number_of_nodes() else True
@@ -85,6 +85,8 @@ def build_tree(Y, labels, i, mirror_list=None):
 
 
 def _incidence_graph(mirror_indices, n_chambers, edges):
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(("mirror", m) for m in mirror_indices)
     g.add_nodes_from(("chamber", k) for k in range(n_chambers))

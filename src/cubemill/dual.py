@@ -10,8 +10,6 @@ strictly embedded) even when the source has doubled cells.
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .complexes import (
     CheckReport,
     CubicalComplex,
@@ -29,28 +27,36 @@ class DualComplex:
     complex: CubicalComplex
     source: CubicalComplex
     heights: dict  # dual vertex id (= source cell id) -> dimension of that cell
-    _graph: nx.Graph = field(default=None, repr=False, compare=False)
+    _graph: dict = field(default=None, repr=False, compare=False)
     _square_index: dict = field(default=None, repr=False, compare=False)
+    _tops_at: dict = field(default=None, repr=False, compare=False)
+    # surgery contexts keyed by folding content, filled by surgery.surgery_context
+    _surgery: dict = field(default_factory=dict, repr=False, compare=False)
 
     def height(self, v):
         return self.heights[v]
 
     def skeleton(self):
-        """The dual 1-skeleton as a simple graph, cached."""
+        """The dual 1-skeleton as an adjacency dict ``{v: {w: None}}``, cached.
+
+        Neighbours keep the order in which their edges appear in the cell
+        table, which fixes the paths breadth-first searches return.
+        """
         if self._graph is None:
-            g = nx.Graph()
-            g.add_nodes_from(self.complex.vertices)
+            adj = {v: {} for v in self.complex.vertices}
             for cube in self.complex.cells.values():
                 if cube.dim == 1:
-                    g.add_edge(cube.corners[0], cube.corners[1])
-            self._graph = g
+                    a, b = cube.corners
+                    adj[a][b] = None
+                    adj[b][a] = None
+            self._graph = adj
         return self._graph
 
     def adjacent(self, u, v):
-        return self.skeleton().has_edge(u, v)
+        return v in self.skeleton().get(u, ())
 
     def neighbors(self, v):
-        return sorted(self.skeleton().neighbors(v))
+        return sorted(self.skeleton()[v])
 
     def square_by_corners(self, corners):
         """The dual square with the given corner set, or None."""
@@ -102,13 +108,21 @@ def dual_tile(D, top):
 
 
 def tops_containing(D, dual_vertices):
-    """Source top cells whose tile contains every one of the dual vertices."""
+    """Source top cells whose tile contains every one of the dual vertices.
+
+    Reads a dual vertex -> top cells index built on first use, so the cost
+    follows the number of vertices asked about, not the size of the complex.
+    """
     vs = set(dual_vertices)
-    out = []
-    for t in D.source.top_cells():
-        if vs <= D.source.subcells(t):
-            out.append(t)
-    return out
+    if not vs:
+        return D.source.top_cells()
+    if D._tops_at is None:
+        at = {}
+        for t in D.source.top_cells():
+            for v in D.source.subcells(t):
+                at.setdefault(v, []).append(t)
+        D._tops_at = at
+    return [t for t in D._tops_at.get(next(iter(vs)), ()) if vs <= D.source.subcells(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +201,14 @@ def verify_dual_axioms(D):
     checks.append(_verdict("links-flag", bad_links))
     checks.append(_verdict("sublinks-flag", bad_sublinks))
 
-    g = D.skeleton()
+    adj = D.skeleton()
     bad = []
     for w in sorted(X.vertices):
-        down_w = [u for u in g.neighbors(w) if h[u] == h[w] - 1]
+        down_w = [u for u in adj[w] if h[u] == h[w] - 1]
         for i in range(len(down_w)):
             for j in range(i + 1, len(down_w)):
                 a, b = down_w[i], down_w[j]
-                commons = [
-                    u
-                    for u in set(g.neighbors(a)) & set(g.neighbors(b))
-                    if h[u] == h[w] - 2
-                ]
+                commons = [u for u in adj[a].keys() & adj[b] if h[u] == h[w] - 2]
                 for u in commons:
                     if D.square_by_corners({u, a, b, w}) is None:
                         bad.append((u, a, b, w))
@@ -239,7 +249,8 @@ def dual_mirror(D, M):
     """The full dual subcomplex over a mirror and its complement components.
 
     Complement components are taken in the cover graph: dual vertices outside
-    the mirror region, joined by dual edges with both ends outside.
+    the mirror region, joined by dual edges with both ends outside. They are
+    numbered by their least vertex.
     """
     verts = frozenset(v for v in D.complex.vertices if v in M.cells)
     cells = frozenset(
@@ -247,18 +258,19 @@ def dual_mirror(D, M):
         for cid, cube in D.complex.cells.items()
         if set(cube.corners) <= verts
     )
-    g = nx.Graph()
-    outside = [v for v in D.complex.vertices if v not in verts]
-    g.add_nodes_from(outside)
-    for cube in D.complex.cells.values():
-        if cube.dim == 1:
-            a, b = cube.corners
-            if a not in verts and b not in verts:
-                g.add_edge(a, b)
-    comps = sorted((sorted(c) for c in nx.connected_components(g)), key=lambda c: c[0])
-    components = tuple(frozenset(c) for c in comps)
+    adj = D.skeleton()
+    components = []
     component_of = {}
-    for i, comp in enumerate(components):
+    for start in D.complex.vertices:  # ascending, so least vertices come first
+        if start in verts or start in component_of:
+            continue
+        i = len(components)
+        component_of[start] = i
+        comp = [start]
         for v in comp:
-            component_of[v] = i
-    return DualMirror(M, verts, cells, components, component_of)
+            for w in adj[v]:
+                if w not in verts and w not in component_of:
+                    component_of[w] = i
+                    comp.append(w)
+        components.append(frozenset(comp))
+    return DualMirror(M, verts, cells, tuple(components), component_of)

@@ -24,8 +24,6 @@ the build aborts rather than producing a wrong complex.
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .complexes import (
     CheckReport,
     CubicalComplex,
@@ -154,6 +152,8 @@ def _extract_half(cells):
     for nm in fix:
         if nm[0] == "i":
             raise AssertionError("a top-chain cell is fixed by the label swap")
+
+    import networkx as nx
 
     g = nx.Graph()
     movable = [nm for nm in cells if nm not in fix]
@@ -311,6 +311,8 @@ def gromov_hyperbolize(K, labels=None):
 
 def _smoothed(g):
     """Smooth away degree-2 vertices of a multigraph (loops stop smoothing)."""
+    import networkx as nx
+
     g = nx.MultiGraph(g)
     changed = True
     while changed:
@@ -330,6 +332,8 @@ def _smoothed(g):
 
 def _vertex_link_multigraph(X, v):
     """The link of a vertex as a true multigraph (bigons kept as parallel edges)."""
+    import networkx as nx
+
     g = nx.MultiGraph()
     for cid in X.cells_at_vertex[v]:
         cube = X.cells[cid]
@@ -343,6 +347,8 @@ def _vertex_link_multigraph(X, v):
 
 
 def _source_link_multigraph(K, v):
+    import networkx as nx
+
     g = nx.MultiGraph()
     for f in K.faces:
         if v not in f:
@@ -421,6 +427,8 @@ def verify_gromov_properties(result):
     if n == 0:
         checks.append(("links-preserved", "pass", "links are empty"))
     elif n <= 2:
+        import networkx as nx
+
         bad_links = []
         stratum_vertex = {}
         for cid, nm in X.names.items():

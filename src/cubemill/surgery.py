@@ -8,6 +8,11 @@ pieces by projecting a minimal bridge onto its supporting mirror region.
 Every operation emits replayable moves; ``verify_certificate`` replays them
 against the dual complex without trusting the producer.
 
+The mirror-side data surgery reads (the mirrors of the folding, their
+separation reports and dual regions) is built once per dual complex and
+folding by ``surgery_context`` and kept on the dual complex, so after that
+first call the cost of contracting a loop follows the loop.
+
 Determinism: mirrors are scanned in their canonical order, gaps and bridges
 break ties toward the least start index and least length, slides raise all
 interior minima of a sweep together, and a slide's new vertex is the least
@@ -15,8 +20,6 @@ fourth corner completing a stored dual square.
 """
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .dual import dual_mirror, tops_containing
 from .errors import (
@@ -29,6 +32,50 @@ from .errors import (
     Unsupported,
 )
 from .folding import mirror_separates, mirrors
+
+
+# ---------------------------------------------------------------------------
+# the prepared context
+
+
+@dataclass(frozen=True)
+class SurgeryContext:
+    """Mirror-side data of surgery on one dual complex under one folding.
+
+    Per-mirror tuples are indexed by ``Mirror.index``.
+    """
+
+    D: object  # the DualComplex
+    labels: dict  # a copy of the folding, vertex -> label tuple
+    mirrors: tuple  # the canonical mirror list of the folding
+    separation: tuple  # SeparationReport per mirror
+    regions: tuple  # DualMirror per mirror
+    refusal: object  # the first mirror that does not separate, or None
+
+
+def surgery_context(D, labels):
+    """The surgery context of ``D`` under ``labels``, built on first use.
+
+    ``labels`` maps vertices to label tuples. Contexts are memoized on ``D``
+    by the content of the labels, so equal foldings share one and a
+    different folding of the same complex gets its own.
+    """
+    key = frozenset(labels.items())
+    ctx = D._surgery.get(key)
+    if ctx is None:
+        ml = tuple(mirrors(D.source, labels))
+        seps = tuple(mirror_separates(D.source, M) for M in ml)
+        refusal = next((M for M, sep in zip(ml, seps) if not sep.separates), None)
+        ctx = SurgeryContext(
+            D,
+            dict(labels),
+            ml,
+            seps,
+            tuple(dual_mirror(D, M) for M in ml),
+            refusal,
+        )
+        D._surgery[key] = ctx
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +139,62 @@ def random_loop(D, rng, max_len=12):
     """
     if max_len < 2:
         raise ValueError("loops need length at least 2")
-    g = D.skeleton()
-    start = rng.choice(sorted(g.nodes))
+    adj = D.skeleton()
+    start = rng.choice(D.complex.vertices)
     walk = [start]
     for _ in range(max_len // 2):
-        walk.append(rng.choice(sorted(g.neighbors(walk[-1]))))
-    back = nx.shortest_path(g, walk[-1], start)
+        walk.append(rng.choice(sorted(adj[walk[-1]])))
+    back = _shortest_path(adj, walk[-1], start)
     return tuple(walk + back[1:])
+
+
+def _shortest_path(adj, source, target):
+    """A shortest path by bidirectional breadth-first search.
+
+    The search is networkx's ``bidirectional_shortest_path``: the smaller
+    fringe grows by one level (the forward one on ties), neighbours are
+    taken in adjacency order, and it stops at the first vertex both sides
+    have reached, so both return the same path.
+    """
+    pred = {source: None}
+    succ = {target: None}
+    meet = source if source == target else _meet(adj, pred, succ, source, target)
+    path = []
+    w = meet
+    while w is not None:
+        path.append(w)
+        w = pred[w]
+    path.reverse()
+    w = succ[meet]
+    while w is not None:
+        path.append(w)
+        w = succ[w]
+    return path
+
+
+def _meet(adj, pred, succ, source, target):
+    forward = [source]
+    reverse = [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in adj[v]:
+                    if w not in pred:
+                        forward.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return w
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in adj[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse.append(w)
+                    if w in pred:
+                        return w
+    raise ValueError(f"no path from {source} to {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +218,17 @@ class CrossingProfile:
         }
 
 
-def crossings(D, p, M, _dm=None):
+def crossings(ctx, p, M):
     """The crossing profile of a path against a separating framed mirror.
 
-    A run is a maximal stretch of the path inside the mirror region; it is a
-    crossing when both flanking vertices exist and lie in different complement
-    components. Loops are scanned cyclically so a run through the basepoint
-    counts once.
+    ``M`` is one of ``ctx.mirrors``. A run is a maximal stretch of the path
+    inside the mirror region; it is a crossing when both flanking vertices
+    exist and lie in different complement components. Loops are scanned
+    cyclically so a run through the basepoint counts once.
     """
-    sep = mirror_separates(D.source, M)
-    if not sep.separates:
+    if not ctx.separation[M.index].separates:
         raise NonSeparatingMirror(f"mirror {M.index} does not separate")
-    dm = _dm if _dm is not None else dual_mirror(D, M)
+    dm = ctx.regions[M.index]
     loop = is_loop(p) and len(p) > 1
 
     if loop:
@@ -263,10 +358,10 @@ def _strip_backtracks(p, moves=None):
 
 def _slide_target(D, prev, cur, nxt):
     """The least vertex completing {prev, cur, nxt} to a stored dual square."""
-    g = D.skeleton()
+    adj = D.skeleton()
     h = D.heights
     cands = []
-    for w in set(g.neighbors(prev)) & set(g.neighbors(nxt)):
+    for w in adj[prev].keys() & adj[nxt]:
         if h[w] != h[cur] + 2:
             continue
         sq = D.square_by_corners({cur, prev, nxt, w})
@@ -361,7 +456,7 @@ class Bridge:
     support_index: int  # least mirror the subpath bridges
 
 
-def _bridges_for_mirror(D, p, dm):
+def _bridges_for_mirror(p, dm):
     """Start/end pairs of subpaths whose endpoints lie in the region without
     the whole subpath lying inside."""
     n = len(p)
@@ -378,23 +473,22 @@ def _bridges_for_mirror(D, p, dm):
     return out
 
 
-def bridges(D, p, mirror_list):
+def bridges(ctx, p):
     """Every bridge subpath of ``p``, tagged with its least supporting mirror."""
     p = tuple(p)
     found = {}
-    for M in mirror_list:
-        dm = dual_mirror(D, M)
-        for a, b in _bridges_for_mirror(D, p, dm):
+    for M, dm in zip(ctx.mirrors, ctx.regions):
+        for a, b in _bridges_for_mirror(p, dm):
             found.setdefault((a, b), M.index)
     return [
         Bridge(a, b - a, p[a : b + 1], idx) for (a, b), idx in sorted(found.items())
     ]
 
 
-def minimal_bridge(D, p, mirror_list):
+def minimal_bridge(ctx, p):
     """The least minimal bridge of a path: no proper subpath is a bridge;
     ties break to the least start, then the least length."""
-    all_bridges = bridges(D, p, mirror_list)
+    all_bridges = bridges(ctx, p)
     if not all_bridges:
         raise NotABridge("the path has no bridge subpath")
     spans = {(br.start, br.start + br.length) for br in all_bridges}
@@ -425,7 +519,7 @@ def _axes(cube, labels):
     return axis_of
 
 
-def project_bridge(D, q, M, mirror_list, labels):
+def project_bridge(ctx, q, M):
     """Project a minimal bridge onto the region of its supporting mirror.
 
     Every cell a minimal bridge visits lies in some tile that meets the
@@ -435,15 +529,16 @@ def project_bridge(D, q, M, mirror_list, labels):
     tile chosen, consecutive images are equal or adjacent, and the endpoints
     are fixed. Repeats and backtracks are stripped from the image.
     """
+    D = ctx.D
     q = check_edge_path(D, q)
-    dm = dual_mirror(D, M)
+    dm = ctx.regions[M.index]
     if q[0] not in dm.vertices or q[-1] not in dm.vertices:
         raise NotABridge("bridge endpoints must lie in the mirror region")
     if all(v in dm.vertices for v in q):
         raise NotABridge("the path lies inside the mirror region")
 
     relevant = [
-        N for N in mirror_list if N.index != M.index and N.cells & M.cells
+        N for N in ctx.mirrors if N.index != M.index and N.cells & M.cells
     ]
 
     image = []
@@ -456,7 +551,7 @@ def project_bridge(D, q, M, mirror_list, labels):
                 f"no tile meeting the mirror carries the visited cell {v}"
             )
         tau = min(carriers)
-        axis_of = _axes(D.source.cells[tau], labels)
+        axis_of = _axes(D.source.cells[tau], ctx.labels)
 
         def pin(N, constraints):
             if N.coordinate not in axis_of:
@@ -506,7 +601,7 @@ class SurgeryStep:
     right: tuple  # projected . rest of the rotated loop
 
 
-def surgery_step(D, p, mirror_list, labels):
+def surgery_step(ctx, p):
     """One splitting step on a loop that crosses a framed mirror.
 
     Scans mirrors in canonical order for the first with crossings, picks the
@@ -514,13 +609,13 @@ def surgery_step(D, p, mirror_list, labels):
     minimal bridge inside the gap, projects it, and returns the two strictly
     shorter loops with the data needed to certify the split.
     """
-    p = check_edge_path(D, p)
+    p = check_edge_path(ctx.D, p)
     if not is_loop(p) or len(p) < 2:
         raise ValueError("surgery applies to loops of positive length")
 
     chosen = None
-    for M in mirror_list:
-        prof = crossings(D, p, M)
+    for M in ctx.mirrors:
+        prof = crossings(ctx, p, M)
         if prof.count > 0:
             chosen = (M, prof)
             break
@@ -545,9 +640,9 @@ def surgery_step(D, p, mirror_list, labels):
     rotated = rotate_loop(p, start)
     gap_path = rotated[: length + 1]
 
-    br = minimal_bridge(D, gap_path, mirror_list)
-    N = mirror_list[br.support_index]
-    projected = project_bridge(D, br.path, N, mirror_list, labels)
+    br = minimal_bridge(ctx, gap_path)
+    N = ctx.mirrors[br.support_index]
+    projected = project_bridge(ctx, br.path, N)
 
     rot = (start + br.start) % n
     rotated = rotate_loop(p, rot)
@@ -579,23 +674,20 @@ def contract_loop(D, p, labels):
     p = check_edge_path(D, p)
     if not is_loop(p):
         raise ValueError("only loops contract")
-    mirror_list = mirrors(D.source, labels)
-    for M in mirror_list:
-        if not mirror_separates(D.source, M).separates:
-            raise Unsupported(f"mirror {M.index} does not separate")
-    return _contract(D, p, mirror_list, labels)
+    ctx = surgery_context(D, labels)
+    if ctx.refusal is not None:
+        raise Unsupported(f"mirror {ctx.refusal.index} does not separate")
+    return _contract(ctx, p)
 
 
-def _contract(D, p, mirror_list, labels):
-    crossing = any(
-        crossings(D, p, M).count > 0 for M in mirror_list
-    )
+def _contract(ctx, p):
+    crossing = any(crossings(ctx, p, M).count > 0 for M in ctx.mirrors)
     if not crossing:
-        _final, moves = contract_in_tile(D, p)
+        _final, moves = contract_in_tile(ctx.D, p)
         return MoveChain(moves)
-    step = surgery_step(D, p, mirror_list, labels)
-    left = _contract(D, step.left, mirror_list, labels)
-    right = _contract(D, step.right, mirror_list, labels)
+    step = surgery_step(ctx, p)
+    left = _contract(ctx, step.left)
+    right = _contract(ctx, step.right)
     return Split(
         step.rotate,
         step.mirror_index,

@@ -39,8 +39,19 @@ class Presentation:
         return out
 
 
+def dual_graph(D):
+    """The dual 1-skeleton as a networkx graph, built from the cell table
+    rather than from the skeleton under test."""
+    g = nx.Graph()
+    g.add_nodes_from(D.complex.vertices)
+    for cube in D.complex.cells.values():
+        if cube.dim == 1:
+            g.add_edge(*cube.corners)
+    return g
+
+
 def dual_presentation(D):
-    g = D.skeleton()
+    g = dual_graph(D)
     root = min(g.nodes)
     parent = dict(nx.bfs_predecessors(g, root))
     tree = {frozenset((c, p)) for c, p in parent.items()}

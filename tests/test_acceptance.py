@@ -33,6 +33,7 @@ from cubemill.surgery import (
     contract_loop,
     crossings,
     random_loop,
+    surgery_context,
     surgery_step,
     verify_certificate,
 )
@@ -138,8 +139,8 @@ def test_criterion_5_loop_surgery_fuzzing():
     for name in simply_connected_names():
         f = fixture(name)
         D = build_dual(f.complex)
-        ml = tuple(mirrors(f.complex, f.labels))
-        dms = {M.index: dual_mirror(D, M) for M in ml}
+        ctx = surgery_context(D, f.labels)
+        ml = ctx.mirrors
         rng = random.Random(20260819)
         for _ in range(1000):
             p = random_loop(D, rng, max_len=12)
@@ -149,14 +150,12 @@ def test_criterion_5_loop_surgery_fuzzing():
             q = _strip_backtracks(p)
             mu = 0
             if len(q) > 1:
-                mu = sum(
-                    crossings(D, q, M, _dm=dms[M.index]).count for M in ml
-                )
+                mu = sum(crossings(ctx, q, M).count for M in ml)
             if 0 < len(q) - 1 <= 4:
                 assert mu == 0, (name, p, q)
 
             if mu > 0:
-                step = surgery_step(D, q, ml, f.labels)
+                step = surgery_step(ctx, q)
                 total_steps += 1
                 assert len(step.left) - 1 < len(q) - 1
                 assert len(step.right) - 1 < len(q) - 1
@@ -178,9 +177,10 @@ def test_criterion_6_torus_meridian_is_refused():
     meridian = check_edge_path(D, (0, 18, 4, 30, 8, 38, 12, 19, 0))
     with pytest.raises(Unsupported):
         contract_loop(D, meridian, f.labels)
-    for M in mirrors(f.complex, f.labels):
+    ctx = surgery_context(D, f.labels)
+    for M in ctx.mirrors:
         with pytest.raises(NonSeparatingMirror):
-            crossings(D, meridian, M)
+            crossings(ctx, meridian, M)
     _verdict("criterion 6 (honest refusal on the torus)", t0)
 
 

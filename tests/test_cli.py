@@ -1,11 +1,18 @@
 """End-to-end command line tests."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import cubemill
 from cubemill.cli import main
+from cubemill.complexes import MAX_BARSUB_FLAGS
 from cubemill.dual import build_dual
 from cubemill.fixtures import fixture
 from cubemill.formats import MAX_CELL_DIM, parse_complex
@@ -165,6 +172,61 @@ def test_parse_errors_exit_with_usage_code(tmp_path):
         assert r.exit_code == 2
         assert payload(r)["error"] == "FormatError"
         assert "cap" in payload(r)["detail"]
+
+
+TRIANGLE = '{"kind": "simplicial", "maximal": [[0, 1, 2]]}'
+CUBICAL_ONLY = (
+    "validate", "links", "check-npc", "fold", "hyperplanes", "mirrors", "dual", "tree",
+    "special-check", "contract", "verify",
+)
+
+
+@pytest.mark.parametrize("sub", CUBICAL_ONLY)
+def test_simplicial_input_to_a_cubical_subcommand_is_a_usage_error(tmp_path, sub):
+    path = tmp_path / "triangle.json"
+    path.write_text(TRIANGLE)
+    extra = ("--loop", "0", "--cert", str(path)) if sub == "verify" else ()
+    r = run(sub, "--in", str(path), *extra)
+    assert r.exit_code == 2
+    doc = payload(r)
+    assert doc["error"] == "FormatError"
+    assert "cubical" in doc["detail"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "simplicial", "maximal": [list(range(MAX_CELL_DIM + 1))]},
+        {"kind": "cubical", "maximal": [list(range(1 << 6))]},
+    ],
+)
+def test_barsub_refuses_inputs_with_too_many_flags(tmp_path, doc):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    r = run("barsub", "--in", str(path))
+    assert r.exit_code == 1
+    out = payload(r)
+    assert out["error"] == "Unsupported"
+    assert str(MAX_BARSUB_FLAGS) in out["detail"]
+
+
+def test_barsub_still_takes_a_simplicial_file(tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(TRIANGLE)
+    r = run("barsub", "--in", str(path))
+    assert r.exit_code == 0
+    assert payload(r)["counts"] == {"0": 7, "1": 12, "2": 6}
+
+
+def test_importing_cubemill_leaves_networkx_unloaded():
+    # networkx is imported only by the checks that use it, which keeps it out
+    # of the memory and start-up time of surgery and of most subcommands
+    code = "import sys, cubemill, cubemill.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cubemill.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_gromov_with_a_coloring_yields_the_square_model(tmp_path):

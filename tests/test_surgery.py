@@ -1,9 +1,12 @@
 import random
 from dataclasses import replace
+from itertools import product
 
+import networkx as nx
 import pytest
 
 import oracle
+from cubemill.complexes import CubicalComplex
 from cubemill.errors import (
     NoCrossing,
     NonSeparatingMirror,
@@ -11,13 +14,15 @@ from cubemill.errors import (
     NotInTile,
     Unsupported,
 )
-from cubemill.fixtures import fixture, simply_connected_names
-from cubemill.dual import dual_mirror, tops_containing
+from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
+from cubemill.dual import build_dual, dual_mirror, tops_containing
+from cubemill.folding import find_folding
 from cubemill.surgery import (
     MoveChain,
     Rotate,
     Split,
     SquareSlide,
+    _shortest_path,
     _strip_backtracks,
     check_edge_path,
     contract_in_tile,
@@ -30,15 +35,20 @@ from cubemill.surgery import (
     project_bridge,
     random_loop,
     rotate_loop,
+    surgery_context,
     surgery_step,
     verify_certificate,
 )
 from helpers import dual_of, mirror_list
 
 
+def _ctx(name):
+    return surgery_context(dual_of(name), fixture(name).labels)
+
+
 def _mu(name, p):
-    D = dual_of(name)
-    return sum(crossings(D, p, M).count for M in mirror_list(name))
+    ctx = _ctx(name)
+    return sum(crossings(ctx, p, M).count for M in ctx.mirrors)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +95,29 @@ def test_random_loops_are_even_and_short():
             check_edge_path(D, p)
 
 
+def _reference_loop(g, rng, max_len):
+    """random_loop on a networkx graph, closed by nx.shortest_path."""
+    start = rng.choice(sorted(g.nodes))
+    walk = [start]
+    for _ in range(max_len // 2):
+        walk.append(rng.choice(sorted(g.neighbors(walk[-1]))))
+    return tuple(walk + nx.shortest_path(g, walk[-1], start)[1:])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_random_loop_and_shortest_path_match_networkx(name):
+    D = dual_of(name)
+    g = oracle.dual_graph(D)
+    for seed in range(500):
+        max_len = 2 + seed % 23
+        got = random_loop(D, random.Random(seed), max_len)
+        assert got == _reference_loop(g, random.Random(seed), max_len), (name, seed)
+    rng = random.Random(name)
+    for _ in range(200):
+        s, t = rng.choice(D.complex.vertices), rng.choice(D.complex.vertices)
+        assert _shortest_path(D.skeleton(), s, t) == nx.shortest_path(g, s, t)
+
+
 # ---------------------------------------------------------------------------
 # crossings
 
@@ -122,7 +155,7 @@ def test_crossings_on_non_separating_mirror_raise():
     M = mirror_list("torus4")[0]
     t = D.source.top_cells()[0]
     with pytest.raises(NonSeparatingMirror):
-        crossings(D, (t,), M)
+        crossings(_ctx("torus4"), (t,), M)
 
 
 def test_short_reduced_loops_never_cross():
@@ -152,7 +185,7 @@ def test_degenerate_short_wedge_crosses_the_spine():
         min(tops_containing(D, {a}))
     ] != dual_mirror(D, spine).component_of[min(tops_containing(D, {b}))]
     p = (a, v, b, v, a)
-    assert crossings(D, p, spine).count == 2
+    assert crossings(_ctx(name), p, spine).count == 2
     assert _strip_backtracks(p) == (a,)
     cert = contract_loop(D, p, fixture(name).labels)
     assert verify_certificate(D, p, cert)
@@ -221,7 +254,7 @@ def test_minimal_bridge_is_minimal():
     rng = random.Random(21)
     for _ in range(20):
         p = _crossing_loop(name, rng)
-        br = minimal_bridge(D, p, ml)
+        br = minimal_bridge(_ctx(name), p)
         M = ml[br.support_index]
         region = dual_mirror(D, M).vertices
         assert br.path[0] in region and br.path[-1] in region
@@ -248,20 +281,18 @@ def test_no_bridge_inside_mirror_region():
     a = region[0]
     b = next(v for v in region if D.adjacent(a, v))
     with pytest.raises(NotABridge):
-        project_bridge(D, (a, b), M, ml, fixture(name).labels)
+        project_bridge(_ctx(name), (a, b), M)
 
 
 def test_project_bridge_shortens_and_fixes_endpoints():
     rng = random.Random(31)
     for name in ("grid2", "book3"):
-        D = dual_of(name)
-        ml = mirror_list(name)
-        labels = fixture(name).labels
+        ctx = _ctx(name)
         for _ in range(25):
             p = _crossing_loop(name, rng)
-            br = minimal_bridge(D, p, ml)
-            M = ml[br.support_index]
-            proj = project_bridge(D, br.path, M, ml, labels)
+            br = minimal_bridge(ctx, p)
+            M = ctx.mirrors[br.support_index]
+            proj = project_bridge(ctx, br.path, M)
             assert proj[0] == br.path[0]
             assert proj[-1] == br.path[-1]
             assert len(proj) <= len(br.path) - 2
@@ -274,12 +305,10 @@ def test_project_bridge_shortens_and_fixes_endpoints():
 def test_surgery_step_children_strictly_shorter():
     rng = random.Random(41)
     for name in ("grid2", "book3"):
-        D = dual_of(name)
-        ml = mirror_list(name)
-        labels = fixture(name).labels
+        ctx = _ctx(name)
         for _ in range(25):
             p = _crossing_loop(name, rng)
-            step = surgery_step(D, p, ml, labels)
+            step = surgery_step(ctx, p)
             assert len(step.left) - 1 <= len(p) - 3
             assert len(step.right) - 1 <= len(p) - 3
             assert is_loop(step.left) and is_loop(step.right)
@@ -294,7 +323,7 @@ def test_surgery_step_requires_a_crossing():
     p = random_loop(D, rng, max_len=6)
     assert _mu(name, p) == 0
     with pytest.raises(NoCrossing):
-        surgery_step(D, p, mirror_list(name), fixture(name).labels)
+        surgery_step(_ctx(name), p)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +415,75 @@ def test_contract_refuses_unsupported_space():
     t = D.source.top_cells()[0]
     with pytest.raises(Unsupported):
         contract_loop(D, (t,), labels)
+
+
+def test_one_dual_complex_serves_two_foldings():
+    for name in ("sq1", "grid2"):
+        f = fixture(name)
+        swapped = {v: tuple(reversed(lab)) for v, lab in f.labels.items()}
+        shared = build_dual(f.complex)
+        rng = random.Random(7)
+        loops = [random_loop(shared, rng, max_len=12) for _ in range(40)]
+        certs = {}
+        for key, labels in (("a", f.labels), ("b", swapped), ("a", dict(f.labels)), ("b", swapped)):
+            for p in loops:
+                cert = contract_loop(shared, p, labels)
+                assert cert == contract_loop(build_dual(f.complex), p, labels), (name, key, p)
+                assert certs.setdefault((key, p), cert) == cert
+        # equal foldings share one context; the swapped folding has its own
+        assert len(shared._surgery) == 2
+        assert surgery_context(shared, dict(f.labels)) is surgery_context(shared, f.labels)
+        if name == "grid2":
+            assert any(certs["a", p] != certs["b", p] for p in loops)
+
+
+def test_torus_meridian_is_refused_on_every_call():
+    f = fixture("torus4")
+    D = build_dual(f.complex)
+    meridian = (0, 18, 4, 30, 8, 38, 12, 19, 0)
+    for _ in range(2):
+        with pytest.raises(Unsupported) as refused:
+            contract_loop(D, meridian, f.labels)
+        # the refusal itself, not a NonSeparatingMirror from inside surgery
+        assert type(refused.value) is Unsupported
+
+
+def _grid_cells(n):
+    def v(x, y):
+        return (n + 1) * y + x
+
+    return [
+        (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
+        for x in range(n)
+        for y in range(n)
+    ]
+
+
+def _cube_grid_cells(k):
+    def v(x, y, z):
+        return (k + 1) ** 2 * z + (k + 1) * y + x
+
+    return [
+        tuple(v(x + (b & 1), y + (b >> 1 & 1), z + (b >> 2 & 1)) for b in range(8))
+        for x, y, z in product(range(k), repeat=3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cells", [_grid_cells(6), _cube_grid_cells(3)], ids=["grid6x6", "cubes3x3x3"]
+)
+def test_contraction_fuzz_on_larger_complexes(cells):
+    X = CubicalComplex.from_maximal_cells(cells)
+    labels = find_folding(X)
+    D = build_dual(X)
+    rng = random.Random(20261018)
+    splits = 0
+    for _ in range(300):
+        p = random_loop(D, rng, max_len=16)
+        cert = contract_loop(D, p, labels)
+        assert verify_certificate(D, p, cert), p
+        splits += isinstance(cert, Split)
+    assert splits > 0
 
 
 def test_split_depth_bounded_by_length():
