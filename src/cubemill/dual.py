@@ -240,24 +240,18 @@ def _other_end(X, edge_cid, v):
 class DualMirror:
     mirror: object  # the source Mirror
     vertices: frozenset  # dual vertices over mirror cells
-    cells: frozenset  # dual cells of the full subcomplex over the mirror
     components: tuple  # complement components (frozensets of dual vertices)
     component_of: dict  # complement dual vertex -> component index
 
 
 def dual_mirror(D, M):
-    """The full dual subcomplex over a mirror and its complement components.
+    """The dual vertices over a mirror and their complement components.
 
-    Complement components are taken in the cover graph: dual vertices outside
+    The region's vertices are the mirror's cells themselves. Complement components are taken in the cover graph: dual vertices outside
     the mirror region, joined by dual edges with both ends outside. They are
     numbered by their least vertex.
     """
-    verts = frozenset(v for v in D.complex.vertices if v in M.cells)
-    cells = frozenset(
-        cid
-        for cid, cube in D.complex.cells.items()
-        if set(cube.corners) <= verts
-    )
+    verts = M.cells
     adj = D.skeleton()
     components = []
     component_of = {}
@@ -273,4 +267,4 @@ def dual_mirror(D, M):
                     component_of[w] = i
                     comp.append(w)
         components.append(frozenset(comp))
-    return DualMirror(M, verts, cells, tuple(components), component_of)
+    return DualMirror(M, verts, tuple(components), component_of)

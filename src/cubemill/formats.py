@@ -269,64 +269,78 @@ def _ints(parts, n):
 
 
 def parse_certificate(text):
+    """Parse certificate text. Open splits wait on an explicit stack, so the
+    nesting depth is bounded by memory and not by the recursion limit."""
     lines = _Lines(text)
-    cert = _parse_cert(lines)
+    pending = []  # open splits: [header fields, left child or None]
+    while True:
+        n, body = lines.take()
+        head = body.split()
+        if head[0] == "split":
+            pending.append([_parse_split_head(lines, n, head), None])
+            lines.expect("left")
+            continue
+        node = _parse_chain(lines, n, head)
+        while pending and pending[-1][1] is not None:
+            fields, left = pending.pop()
+            lines.expect("end")
+            node = Split(*fields, left, node)
+        if not pending:
+            break
+        pending[-1][1] = node
+        lines.expect("right")
     if lines.pos != len(lines.rows):
         n, _body = lines.peek()
         raise FormatError("trailing content after certificate", line=n)
-    return cert
+    return node
 
 
-def _parse_cert(lines):
-    n, body = lines.take()
-    head = body.split()
-    if head[0] == "chain":
-        if len(head) != 1:
-            raise FormatError("chain takes no arguments", line=n)
-        moves = []
-        while True:
-            n, body = lines.take()
-            parts = body.split()
-            if parts[0] == "end":
-                if len(parts) != 1:
-                    raise FormatError("end takes no arguments", line=n)
-                return MoveChain(tuple(moves))
-            if parts[0] == "backtrack" and len(parts) == 2:
-                (j,) = _ints(parts[1:], n)
-                moves.append(BacktrackRemoval(j))
-            elif parts[0] == "slide" and len(parts) == 4:
-                j, w, sq = _ints(parts[1:], n)
-                moves.append(SquareSlide(j, w, sq))
-            elif parts[0] == "rotate" and len(parts) == 2:
-                (k,) = _ints(parts[1:], n)
-                moves.append(Rotate(k))
-            else:
-                raise FormatError(f"unknown move {body!r}", line=n)
-    if head[0] == "split":
-        if (
-            len(head) != 7
-            or head[1] != "rotate"
-            or head[3] != "mirror"
-            or head[5] != "support"
-        ):
-            raise FormatError(
-                "expected 'split rotate K mirror M support S'", line=n
-            )
-        rot, mirror, support = _ints([head[2], head[4], head[6]], n)
-        n2, body2 = lines.take()
-        parts = body2.split()
-        if parts[0] != "bridge" or len(parts) < 2:
-            raise FormatError("expected a bridge line", line=n2)
-        bridge = tuple(_ints(parts[1:], n2))
-        n3, body3 = lines.take()
-        parts = body3.split()
-        if parts[0] != "projected" or len(parts) < 2:
-            raise FormatError("expected a projected line", line=n3)
-        projected = tuple(_ints(parts[1:], n3))
-        lines.expect("left")
-        left = _parse_cert(lines)
-        lines.expect("right")
-        right = _parse_cert(lines)
-        lines.expect("end")
-        return Split(rot, mirror, support, bridge, projected, left, right)
-    raise FormatError(f"expected 'chain' or 'split', got {head[0]!r}", line=n)
+def _parse_chain(lines, n, head):
+    if head[0] != "chain":
+        raise FormatError(f"expected 'chain' or 'split', got {head[0]!r}", line=n)
+    if len(head) != 1:
+        raise FormatError("chain takes no arguments", line=n)
+    moves = []
+    while True:
+        n, body = lines.take()
+        parts = body.split()
+        if parts[0] == "end":
+            if len(parts) != 1:
+                raise FormatError("end takes no arguments", line=n)
+            return MoveChain(tuple(moves))
+        if parts[0] == "backtrack" and len(parts) == 2:
+            (j,) = _ints(parts[1:], n)
+            moves.append(BacktrackRemoval(j))
+        elif parts[0] == "slide" and len(parts) == 4:
+            j, w, sq = _ints(parts[1:], n)
+            moves.append(SquareSlide(j, w, sq))
+        elif parts[0] == "rotate" and len(parts) == 2:
+            (k,) = _ints(parts[1:], n)
+            moves.append(Rotate(k))
+        else:
+            raise FormatError(f"unknown move {body!r}", line=n)
+
+
+def _parse_split_head(lines, n, head):
+    """The rotate, mirror, support, bridge and projected fields of a split."""
+    if (
+        len(head) != 7
+        or head[1] != "rotate"
+        or head[3] != "mirror"
+        or head[5] != "support"
+    ):
+        raise FormatError(
+            "expected 'split rotate K mirror M support S'", line=n
+        )
+    rot, mirror, support = _ints([head[2], head[4], head[6]], n)
+    n2, body2 = lines.take()
+    parts = body2.split()
+    if parts[0] != "bridge" or len(parts) < 2:
+        raise FormatError("expected a bridge line", line=n2)
+    bridge = tuple(_ints(parts[1:], n2))
+    n3, body3 = lines.take()
+    parts = body3.split()
+    if parts[0] != "projected" or len(parts) < 2:
+        raise FormatError("expected a projected line", line=n3)
+    projected = tuple(_ints(parts[1:], n3))
+    return rot, mirror, support, bridge, projected

@@ -204,81 +204,54 @@ def _meet(adj, pred, succ, source, target):
 @dataclass(frozen=True)
 class CrossingProfile:
     mirror_index: int
-    runs: tuple  # per run: tuple of path positions inside the mirror region
+    runs: tuple  # per run: tuple of loop positions inside the mirror region
     crossing_flags: tuple  # per run: whether the flanks lie in different components
     count: int
-    all_inside: bool
-
-    def to_payload(self):
-        return {
-            "mirror": self.mirror_index,
-            "runs": [list(r) for r in self.runs],
-            "crossings": self.count,
-            "all_inside": self.all_inside,
-        }
 
 
 def crossings(ctx, p, M):
-    """The crossing profile of a path against a separating framed mirror.
+    """The crossing profile of a loop against a separating framed mirror.
 
-    ``M`` is one of ``ctx.mirrors``. A run is a maximal stretch of the path
-    inside the mirror region; it is a crossing when both flanking vertices
-    exist and lie in different complement components. Loops are scanned
-    cyclically so a run through the basepoint counts once.
+    ``M`` is one of ``ctx.mirrors``. A run is a maximal stretch of the loop
+    inside the mirror region; it is a crossing when its two flanking vertices
+    lie in different complement components. The loop is scanned cyclically
+    so a run through the basepoint counts once.
     """
     if not ctx.separation[M.index].separates:
         raise NonSeparatingMirror(f"mirror {M.index} does not separate")
+    if not is_loop(p):
+        raise ValueError("crossings are counted on loops")
     dm = ctx.regions[M.index]
-    loop = is_loop(p) and len(p) > 1
-
-    if loop:
-        core = p[:-1]
-        n = len(core)
-        inside = [v in dm.vertices for v in core]
-        if all(inside):
-            return CrossingProfile(M.index, (), (), 0, True)
-        if not any(inside):
-            return CrossingProfile(M.index, (), (), 0, False)
-        start = next(i for i in range(n) if not inside[i])
-        runs = []
-        run = []
-        for step in range(1, n + 1):
-            i = (start + step) % n
-            if inside[i]:
-                run.append(i)
-            elif run:
-                runs.append(tuple(run))
-                run = []
-        flags = []
-        for r in runs:
-            before = core[(r[0] - 1) % n]
-            after = core[(r[-1] + 1) % n]
-            flags.append(dm.component_of[before] != dm.component_of[after])
-    else:
-        inside = [v in dm.vertices for v in p]
-        if all(inside):
-            return CrossingProfile(M.index, (), (), 0, True)
-        runs = []
-        run = []
-        for i, flag in enumerate(inside):
-            if flag:
-                run.append(i)
-            elif run:
-                runs.append(tuple(run))
-                run = []
-        if run:
+    core = p[:-1] or p
+    n = len(core)
+    inside = [v in dm.vertices for v in core]
+    if all(inside) or not any(inside):
+        return CrossingProfile(M.index, (), (), 0)
+    start = next(i for i in range(n) if not inside[i])
+    runs = []
+    run = []
+    for step in range(1, n + 1):
+        i = (start + step) % n
+        if inside[i]:
+            run.append(i)
+        elif run:
             runs.append(tuple(run))
-        flags = []
-        for r in runs:
-            if r[0] == 0 or r[-1] == len(p) - 1:
-                flags.append(False)
-                continue
-            before, after = p[r[0] - 1], p[r[-1] + 1]
-            flags.append(dm.component_of[before] != dm.component_of[after])
-
-    return CrossingProfile(
-        M.index, tuple(runs), tuple(flags), sum(flags), False
+            run = []
+    flags = tuple(
+        dm.component_of[core[(r[0] - 1) % n]] != dm.component_of[core[(r[-1] + 1) % n]]
+        for r in runs
     )
+    return CrossingProfile(M.index, tuple(runs), flags, sum(flags))
+
+
+def _first_crossing(ctx, p):
+    """The first mirror in canonical order that the loop crosses, with its
+    crossing profile, or None."""
+    for M in ctx.mirrors:
+        prof = crossings(ctx, p, M)
+        if prof.count > 0:
+            return M, prof
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -456,53 +429,29 @@ class Bridge:
     support_index: int  # least mirror the subpath bridges
 
 
-def _bridges_for_mirror(p, dm):
-    """Start/end pairs of subpaths whose endpoints lie in the region without
-    the whole subpath lying inside."""
-    n = len(p)
-    inside = [v in dm.vertices for v in p]
-    out = []
-    for a in range(n):
-        if not inside[a]:
-            continue
-        for b in range(a + 1, n):
-            if not inside[b]:
-                continue
-            if not all(inside[a : b + 1]):
-                out.append((a, b))
-    return out
-
-
-def bridges(ctx, p):
-    """Every bridge subpath of ``p``, tagged with its least supporting mirror."""
-    p = tuple(p)
-    found = {}
-    for M, dm in zip(ctx.mirrors, ctx.regions):
-        for a, b in _bridges_for_mirror(p, dm):
-            found.setdefault((a, b), M.index)
-    return [
-        Bridge(a, b - a, p[a : b + 1], idx) for (a, b), idx in sorted(found.items())
-    ]
-
-
 def minimal_bridge(ctx, p):
     """The least minimal bridge of a path: no proper subpath is a bridge;
-    ties break to the least start, then the least length."""
-    all_bridges = bridges(ctx, p)
-    if not all_bridges:
+    ties break to the least start, then the least length.
+
+    Over one mirror the minimal bridges join consecutive visits of its region
+    with a step outside between them, and a bridge minimal over all mirrors
+    is minimal over every mirror it bridges. Any other minimal bridge that
+    starts earlier ends later, so the least one ends first and, among those,
+    starts last; its support is the least mirror it bridges.
+    """
+    p = tuple(p)
+    found = []
+    for M, dm in zip(ctx.mirrors, ctx.regions):
+        visits = [i for i, v in enumerate(p) if v in dm.vertices]
+        for a, b in zip(visits, visits[1:]):
+            if b > a + 1:
+                found.append((b, -a, M.index))
+                break
+    if not found:
         raise NotABridge("the path has no bridge subpath")
-    spans = {(br.start, br.start + br.length) for br in all_bridges}
-    minimal = [
-        br
-        for br in all_bridges
-        if not any(
-            (a, b) != (br.start, br.start + br.length)
-            and br.start <= a
-            and b <= br.start + br.length
-            for (a, b) in spans
-        )
-    ]
-    return min(minimal, key=lambda br: (br.start, br.length))
+    end, neg_start, support = min(found)
+    start = -neg_start
+    return Bridge(start, end - start, p[start : end + 1], support)
 
 
 def _axes(cube, labels):
@@ -612,19 +561,15 @@ def surgery_step(ctx, p):
     p = check_edge_path(ctx.D, p)
     if not is_loop(p) or len(p) < 2:
         raise ValueError("surgery applies to loops of positive length")
-
-    chosen = None
-    for M in ctx.mirrors:
-        prof = crossings(ctx, p, M)
-        if prof.count > 0:
-            chosen = (M, prof)
-            break
-    if chosen is None:
+    hit = _first_crossing(ctx, p)
+    if hit is None:
         raise NoCrossing("the loop crosses no framed mirror")
-    M, prof = chosen
+    return _split(ctx, p, *hit)
 
-    core = p[:-1]
-    n = len(core)
+
+def _split(ctx, p, M, prof):
+    """The surgery step on a loop crossing ``M`` with profile ``prof``."""
+    n = len(p) - 1
     runs = [r for r, flag in zip(prof.runs, prof.crossing_flags) if flag]
     gaps = []
     for i, r in enumerate(runs):
@@ -681,11 +626,11 @@ def contract_loop(D, p, labels):
 
 
 def _contract(ctx, p):
-    crossing = any(crossings(ctx, p, M).count > 0 for M in ctx.mirrors)
-    if not crossing:
+    hit = _first_crossing(ctx, p)
+    if hit is None:
         _final, moves = contract_in_tile(ctx.D, p)
         return MoveChain(moves)
-    step = surgery_step(ctx, p)
+    step = _split(ctx, p, *hit)
     left = _contract(ctx, step.left)
     right = _contract(ctx, step.right)
     return Split(
@@ -718,34 +663,41 @@ def verify_certificate(D, p, cert):
 
 
 def _replay(D, p, cert):
-    if isinstance(cert, MoveChain):
-        for mv in cert.moves:
-            p = _replay_move(D, p, mv)
-            if p is None:
+    """Replay depth first, left before right, on an explicit stack, so deep
+    certificates are bounded by memory and not by the recursion limit."""
+    todo = [(p, cert)]
+    while todo:
+        p, cert = todo.pop()
+        if isinstance(cert, MoveChain):
+            for mv in cert.moves:
+                p = _replay_move(D, p, mv)
+                if p is None:
+                    return False
+            if len(p) != 1:
                 return False
-        return len(p) == 1
-    if isinstance(cert, Split):
-        if len(p) < 2:
+        elif isinstance(cert, Split):
+            if len(p) < 2:
+                return False
+            core_len = len(p) - 1
+            if not (0 <= cert.rotate < core_len):
+                return False
+            rotated = rotate_loop(p, cert.rotate)
+            q1 = tuple(cert.bridge)
+            if len(q1) < 2 or rotated[: len(q1)] != q1:
+                return False
+            proj = tuple(cert.projected)
+            if len(proj) < 1 or proj[0] != q1[0] or proj[-1] != q1[-1]:
+                return False
+            try:
+                check_edge_path(D, proj)
+            except (ValueError, CellNotFound):
+                return False
+            q2 = rotated[len(q1) - 1 :]
+            todo.append((proj + q2[1:], cert.right))
+            todo.append((q1 + tuple(reversed(proj))[1:], cert.left))
+        else:
             return False
-        core_len = len(p) - 1
-        if not (0 <= cert.rotate < core_len):
-            return False
-        rotated = rotate_loop(p, cert.rotate)
-        q1 = tuple(cert.bridge)
-        if len(q1) < 2 or rotated[: len(q1)] != q1:
-            return False
-        proj = tuple(cert.projected)
-        if len(proj) < 1 or proj[0] != q1[0] or proj[-1] != q1[-1]:
-            return False
-        try:
-            check_edge_path(D, proj)
-        except (ValueError, CellNotFound):
-            return False
-        q2 = rotated[len(q1) - 1 :]
-        left = q1 + tuple(reversed(proj))[1:]
-        right = proj + q2[1:]
-        return _replay(D, left, cert.left) and _replay(D, right, cert.right)
-    return False
+    return True
 
 
 def _replay_move(D, p, mv):

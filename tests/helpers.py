@@ -16,3 +16,18 @@ def dual_of(name):
 def mirror_list(name):
     f = fixture(name)
     return tuple(mirrors(f.complex, f.labels))
+
+
+def deep_certificate_text(p, inner, depth):
+    """Certificate text for loop ``p`` whose splits nest ``depth`` deep.
+
+    Each split cuts off the backtrack ``p[0], p[1], p[0]`` and hands ``p``
+    itself on to the right; ``inner`` is the text of the innermost right
+    child. Replay is valid exactly when ``inner`` contracts ``p``.
+    """
+    a, b = p[0], p[1]
+    level = (
+        f"split rotate 0 mirror 0 support 0\nbridge {a} {b}\nprojected {a} {b}\n"
+        "left\nchain\nbacktrack 0\nend\nright\n"
+    )
+    return level * depth + inner + "end\n" * depth

@@ -17,6 +17,7 @@ from cubemill.dual import build_dual
 from cubemill.fixtures import fixture
 from cubemill.formats import MAX_CELL_DIM, parse_complex
 from cubemill.surgery import random_loop
+from helpers import deep_certificate_text
 
 runner = CliRunner()
 
@@ -107,6 +108,27 @@ def test_verify_rejects_malformed_certificates(tmp_path):
     cert = tmp_path / "garbled.cert"
     cert.write_text("chain\nwobble 1\nend\n")
     r = run("verify", "--fixture", "sq1", "--loop", "0,1,4,3,0", "--cert", str(cert))
+    assert r.exit_code == 2
+    assert payload(r)["error"] == "FormatError"
+
+
+def test_verify_replays_a_deep_certificate(tmp_path):
+    loop = random_loop(build_dual(fixture("grid2").complex), random.Random(3))
+    text = ",".join(str(v) for v in loop)
+    cert = tmp_path / "deep.cert"
+    cert.write_text(deep_certificate_text(loop, "chain\nend\n", 5000))
+    r = run("verify", "--fixture", "grid2", "--loop", text, "--cert", str(cert))
+    assert r.exit_code == 1
+    assert payload(r) == {"valid": False}
+
+
+def test_verify_rejects_a_truncated_deep_certificate(tmp_path):
+    loop = random_loop(build_dual(fixture("grid2").complex), random.Random(3))
+    text = ",".join(str(v) for v in loop)
+    deep = deep_certificate_text(loop, "chain\nend\n", 5000).splitlines()
+    cert = tmp_path / "truncated.cert"
+    cert.write_text("\n".join(deep[: len(deep) - 2500]) + "\n")
+    r = run("verify", "--fixture", "grid2", "--loop", text, "--cert", str(cert))
     assert r.exit_code == 2
     assert payload(r)["error"] == "FormatError"
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import product
@@ -17,6 +18,7 @@ from cubemill.errors import (
 from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
 from cubemill.dual import build_dual, dual_mirror, tops_containing
 from cubemill.folding import find_folding
+from cubemill.formats import parse_certificate, serialize_certificate
 from cubemill.surgery import (
     MoveChain,
     Rotate,
@@ -39,7 +41,7 @@ from cubemill.surgery import (
     surgery_step,
     verify_certificate,
 )
-from helpers import dual_of, mirror_list
+from helpers import deep_certificate_text, dual_of, mirror_list
 
 
 def _ctx(name):
@@ -158,6 +160,16 @@ def test_crossings_on_non_separating_mirror_raise():
         crossings(_ctx("torus4"), (t,), M)
 
 
+def test_crossings_take_loops_only():
+    name = "grid2"
+    ctx = _ctx(name)
+    p = _crossing_loop(name, random.Random(6))
+    with pytest.raises(ValueError):
+        crossings(ctx, p[:-1], ctx.mirrors[0])
+    for v in ctx.D.complex.vertices:
+        assert all(crossings(ctx, (v,), M).count == 0 for M in ctx.mirrors)
+
+
 def test_short_reduced_loops_never_cross():
     # a backtrack-free loop of length <= 4 bounds a square or an edge, so it
     # stays in a tile; with backtracks a length-4 wedge can cross a mirror
@@ -270,6 +282,60 @@ def test_minimal_bridge_is_minimal():
                         continue
                     if sub[0] in reg and sub[-1] in reg:
                         assert all(v in reg for v in sub), (br, N.index)
+
+
+def _reference_minimal_bridge(ctx, p):
+    """The bridge rule by its definition, as (start, length, path, support).
+
+    A bridge is a subpath whose ends lie in a mirror region and that leaves
+    it, tagged with the least such mirror; a minimal bridge contains no other
+    bridge; the least minimal bridge has the least start, then the least
+    length. None when the path has no bridge.
+    """
+    found = {}
+    for M, dm in zip(ctx.mirrors, ctx.regions):
+        inside = [v in dm.vertices for v in p]
+        for a in range(len(p)):
+            for b in range(a + 1, len(p)):
+                if inside[a] and inside[b] and not all(inside[a : b + 1]):
+                    found.setdefault((a, b), M.index)
+    minimal = [
+        (a, b)
+        for (a, b) in found
+        if not any((c, d) != (a, b) and a <= c and d <= b for (c, d) in found)
+    ]
+    if not minimal:
+        return None
+    a, b = min(minimal)
+    return a, b - a, p[a : b + 1], found[a, b]
+
+
+def _bridge_contexts():
+    for name in simply_connected_names():
+        yield name, _ctx(name)
+    X = CubicalComplex.from_maximal_cells(_grid_cells(6))
+    yield "grid6x6", surgery_context(build_dual(X), find_folding(X))
+
+
+def test_minimal_bridge_matches_the_reference():
+    cases = 0
+    for name, ctx in _bridge_contexts():
+        rng = random.Random(f"bridges {name}")
+        for _ in range(150):
+            p = random_loop(ctx.D, rng, max_len=2 + rng.randrange(15))
+            a = rng.randrange(len(p))
+            b = rng.randrange(a, len(p))
+            for q in (p, p[a : b + 1], _strip_backtracks(p)):
+                want = _reference_minimal_bridge(ctx, q)
+                if want is None:
+                    with pytest.raises(NotABridge):
+                        minimal_bridge(ctx, q)
+                else:
+                    br = minimal_bridge(ctx, q)
+                    got = (br.start, br.length, br.path, br.support_index)
+                    assert got == want, (name, q)
+                cases += 1
+    assert cases >= 2000
 
 
 def test_no_bridge_inside_mirror_region():
@@ -409,6 +475,17 @@ def test_forged_certificates_rejected():
     )
 
 
+def test_deep_certificates_parse_and_replay():
+    name = "grid2"
+    D = dual_of(name)
+    p = _crossing_loop(name, random.Random(8))
+    inner = serialize_certificate(contract_loop(D, p, fixture(name).labels))
+    good = parse_certificate(deep_certificate_text(p, inner, 5000))
+    assert verify_certificate(D, p, good)
+    bad = parse_certificate(deep_certificate_text(p, "chain\nend\n", 5000))
+    assert not verify_certificate(D, p, bad)
+
+
 def test_contract_refuses_unsupported_space():
     D = dual_of("torus4")
     labels = fixture("torus4").labels
@@ -469,21 +546,37 @@ def _cube_grid_cells(k):
     ]
 
 
+# SHA-256 of the 300 certificate texts in order; a change means the
+# certificates changed, not only the code that finds them
 @pytest.mark.parametrize(
-    "cells", [_grid_cells(6), _cube_grid_cells(3)], ids=["grid6x6", "cubes3x3x3"]
+    "cells, digest",
+    [
+        (
+            _grid_cells(6),
+            "3acc2dfcad9b7eccc45965691eaab3451344d739b3754b7b14520046e7905a28",
+        ),
+        (
+            _cube_grid_cells(3),
+            "e85127280c74afab19be066d0b2cd1b8a9f50fd1a4b746e38f0132db79a304ac",
+        ),
+    ],
+    ids=["grid6x6", "cubes3x3x3"],
 )
-def test_contraction_fuzz_on_larger_complexes(cells):
+def test_contraction_fuzz_on_larger_complexes(cells, digest):
     X = CubicalComplex.from_maximal_cells(cells)
     labels = find_folding(X)
     D = build_dual(X)
     rng = random.Random(20261018)
     splits = 0
+    h = hashlib.sha256()
     for _ in range(300):
         p = random_loop(D, rng, max_len=16)
         cert = contract_loop(D, p, labels)
         assert verify_certificate(D, p, cert), p
         splits += isinstance(cert, Split)
+        h.update(serialize_certificate(cert).encode())
     assert splits > 0
+    assert h.hexdigest() == digest
 
 
 def test_split_depth_bounded_by_length():
