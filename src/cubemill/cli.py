@@ -34,6 +34,7 @@ from .surgery import (
     check_edge_path,
     contract_loop,
     crossings,
+    is_loop,
     random_loop,
     surgery_context,
     verify_certificate,
@@ -392,6 +393,10 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
             p = check_edge_path(D, loop)
         except ValueError as e:
             _emit({"error": "BadLoop", "detail": str(e)}, code=2)
+            return
+        if not is_loop(p):
+            detail = f"only loops contract: the path starts at {p[0]} and ends at {p[-1]}"
+            _emit({"error": "BadLoop", "detail": detail}, code=2)
             return
         cert = contract_loop(D, p, labels)
         ctx = surgery_context(D, labels)

@@ -238,15 +238,20 @@ def validate_cubical(corner_lists, explicit=False):
                             )
                         )
 
-    # pairwise single-common-face test; faces of the listed cells inherit it
-    idxs = sorted(clean)
-    for a, b in combinations(idxs, 2):
+    # single-common-face test on the pairs that share a corner; faces of the
+    # listed cells inherit it
+    at_corner = {}
+    for idx, canon in clean.items():
+        for v in canon:
+            at_corner.setdefault(v, []).append(idx)
+    pairs = set()
+    for idxs in at_corner.values():
+        pairs.update(combinations(idxs, 2))
+    for a, b in sorted(pairs):
         A, B = clean[a], clean[b]
         if A == B:
             continue  # already reported as a duplicate pair
         inter = frozenset(A) & frozenset(B)
-        if not inter:
-            continue
         if inter not in _subface_sets(A) or inter not in _subface_sets(B):
             findings.append(
                 Finding(
@@ -487,12 +492,28 @@ class CubicalComplex:
             raise CellNotFound(f"vertex {v} is not a corner of cell {cid}") from None
 
     def edges_at_corner(self, cid, b):
-        """Cell ids of the cube's edges at corner position ``b``, one per coordinate."""
+        """Cell ids of the cube's edges at corner position ``b``, one per coordinate.
+
+        The edge along coordinate ``i`` is the 1-face whose corners are
+        ``corners[b]`` and ``corners[b ^ (1 << i)]``, as :meth:`face_of`
+        resolves it, found from one scan of the subcells.
+        """
         cube = self.cell(cid)
+        v = cube.corners[b]
+        ends = {}  # other end -> 1-faces from v to it
+        for f in self.subcells(cid):
+            pair = self.cells[f].corners
+            if len(pair) == 2 and v in pair:
+                ends.setdefault(pair[1] if pair[0] == v else pair[0], []).append(f)
         out = []
         for i in range(cube.dim):
-            constraints = {j: (b >> j) & 1 for j in range(cube.dim) if j != i}
-            out.append(self.face_of(cid, constraints))
+            w = cube.corners[b ^ (1 << i)]
+            matches = ends.get(w, [])
+            if len(matches) != 1:
+                raise CellNotFound(
+                    f"cell {cid} has {len(matches)} faces with corners {sorted((v, w))}"
+                )
+            out.append(matches[0])
         return out
 
 

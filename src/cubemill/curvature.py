@@ -96,12 +96,15 @@ def hyperplanes(X):
     """Edge classes under square opposition, with their carrier cells."""
     out = []
     for idx, edges in enumerate(parallelism_classes(X).values()):
-        eset = set(edges)
-        carriers = sorted(
-            cid
-            for cid in X.cells
-            if X.cells[cid].dim >= 2 and any(f in eset for f in X.subcells(cid))
-        )
+        # the cells containing a class edge are its upward closure
+        above = set(edges)
+        stack = list(edges)
+        while stack:
+            for p, _i, _s in X.cofaces[stack.pop()]:
+                if p not in above:
+                    above.add(p)
+                    stack.append(p)
+        carriers = sorted(c for c in above if X.cells[c].dim >= 2)
         out.append(Hyperplane(idx, edges, tuple(carriers)))
     return out
 

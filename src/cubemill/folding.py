@@ -12,6 +12,7 @@ fixed value in one coordinate. Mirrors are closed subcomplexes.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import CubicalComplex, SimplicialComplex
 from .errors import NotFoldable, UnlabeledVertex
@@ -146,10 +147,7 @@ def find_folding(X):
         cube = X.cells[cid]
         if cube.dim < 2:
             continue
-        dirs = []
-        for i in range(cube.dim):
-            constraints = {j: 0 for j in range(cube.dim) if j != i}
-            dirs.append(root_of[X.face_of(cid, constraints)])
+        dirs = [root_of[e] for e in X.edges_at_corner(cid, 0)]
         if len(set(dirs)) != len(dirs):
             raise NotFoldable(
                 "two directions of one cube lie in the same parallelism class",
@@ -315,16 +313,25 @@ def mirrors(X, labels):
 
 def framings(X, M):
     """All framings of a mirror: (cell, (C1, C2)) with C1 < C2 top cells whose
-    whole intersection lies inside the mirror and contains the cell."""
-    tops = X.top_cells()
+    whole intersection lies inside the mirror and contains the cell.
+
+    A nonempty common face contains a 0-cell, which then lies in the mirror,
+    so only pairs of top cells meeting at a vertex of the mirror are tested.
+    """
+    pairs = set()
+    for c in M.cells:
+        cube = X.cells[c]
+        if cube.dim:
+            continue
+        at = [t for t in X.cells_at_vertex[cube.corners[0]] if not X.cofaces[t]]
+        pairs.update(combinations(at, 2))
     out = []
-    for a in range(len(tops)):
-        for b in range(a + 1, len(tops)):
-            common = X.subcells(tops[a]) & X.subcells(tops[b])
-            if not common or not common <= M.cells:
-                continue
-            for sigma in sorted(common):
-                out.append((sigma, (tops[a], tops[b])))
+    for a, b in sorted(pairs):
+        common = X.subcells(a) & X.subcells(b)
+        if not common <= M.cells:
+            continue
+        for sigma in sorted(common):
+            out.append((sigma, (a, b)))
     return out
 
 

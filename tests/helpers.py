@@ -31,3 +31,19 @@ def deep_certificate_text(p, inner, depth):
         "left\nchain\nbacktrack 0\nend\nright\n"
     )
     return level * depth + inner + "end\n" * depth
+
+
+def grid_squares(n):
+    """Corner lists of an n by n grid of squares, in bitmask order.
+
+    Vertex ids run along the first axis fastest, as in the benchmark's grids.
+    """
+
+    def v(x, y):
+        return (n + 1) * y + x
+
+    return [
+        (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
+        for x in range(n)
+        for y in range(n)
+    ]

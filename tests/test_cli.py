@@ -153,6 +153,16 @@ def test_bad_loop_text_is_a_usage_error():
     assert payload(r)["error"] == "BadLoop"
 
 
+def test_open_path_is_a_bad_loop():
+    # a valid dual edge path whose ends differ: the seed-3 random loop on
+    # grid2 without its closing vertex
+    r = run("contract", "--fixture", "grid2", "--loop", "7,20,24,17,23,19,23,17")
+    assert r.exit_code == 2
+    doc = payload(r)
+    assert doc["error"] == "BadLoop"
+    assert "only loops contract" in doc["detail"]
+
+
 def test_validate_reports_inadmissible_input(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 3, 5]]}')

@@ -1,0 +1,220 @@
+"""Local incidence scans against the all-pairs definitions they replace.
+
+Framings, strict validation, the edges at a cube corner and hyperplane
+carriers are found from vertex and coface incidence; ``reference`` keeps the
+direct definitions. Outputs must agree in full, order included.
+"""
+
+import random
+from functools import lru_cache
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from cubemill.complexes import CubicalComplex, validate_cubical
+from cubemill.curvature import hyperplanes
+from cubemill.dual import build_dual
+from cubemill.errors import CellNotFound
+from cubemill.fixtures import FIXTURE_NAMES, fixture, strip
+from cubemill.folding import find_folding, framings, mirror_separates, mirrors
+from cubemill.gromov import boundary_complex, gromov_hyperbolize
+from cubemill.surgery import surgery_context
+from helpers import grid_squares
+
+CASES = (
+    *FIXTURE_NAMES,
+    "gromov_boundary2",
+    "gromov_boundary3",
+    "strip8",
+    "grid6x6",
+)
+
+
+@lru_cache(maxsize=None)
+def case(name):
+    """The complex and folding of a named case."""
+    if name in FIXTURE_NAMES:
+        f = fixture(name)
+        return f.complex, f.labels
+    if name.startswith("gromov_boundary"):
+        r = gromov_hyperbolize(boundary_complex(int(name[-1])))
+        return r.complex, r.folding
+    X = strip(8) if name == "strip8" else CubicalComplex.from_maximal_cells(grid_squares(6))
+    return X, find_folding(X)
+
+
+@lru_cache(maxsize=None)
+def case_mirrors(name):
+    return tuple(mirrors(*case(name)))
+
+
+def test_hyperbolized_cases_are_cw_with_doubled_cells():
+    assert case("gromov_boundary2")[0].kind == "cw"  # a hexagon
+    X, _labels = case("gromov_boundary3")
+    assert X.kind == "cw"
+    corner_sets = [frozenset(c.corners) for c in X.cells.values()]
+    assert len(set(corner_sets)) < len(corner_sets)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_framings_match_the_all_pairs_definition(name):
+    X, _labels = case(name)
+    for M in case_mirrors(name):
+        assert framings(X, M) == reference.framings(X, M), (name, M.index)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_framings_test_only_pairs_at_the_mirror(name):
+    # each candidate pair meets at a vertex of the mirror; scanning every
+    # vertex, or every pair of top cells, tests far more
+    X, _labels = case(name)
+    for c in X.cells:
+        X.subcells(c)  # memoized, so counted calls below do not recurse
+    subcells = X.subcells
+    calls = []
+
+    def counted(cid):
+        calls.append(cid)
+        return subcells(cid)
+
+    X.subcells = counted
+    try:
+        for M in case_mirrors(name):
+            bound = 0
+            for c in M.cells:
+                if X.cells[c].dim == 0:
+                    at = X.cells_at_vertex[X.cells[c].corners[0]]
+                    bound += comb(sum(1 for t in at if not X.cofaces[t]), 2)
+            calls.clear()
+            framings(X, M)
+            assert len(calls) <= 2 * bound, (name, M.index)
+    finally:
+        del X.subcells
+
+
+def _corner_families(X):
+    cells = [X.cells[c].corners for c in sorted(X.cells)]
+    tops = [X.cells[t].corners for t in X.top_cells()]
+    return [(cells, True), (cells, False), (tops, False), (tops[::-1], True)]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_validation_matches_the_pairwise_definition(name):
+    X, _labels = case(name)
+    for lists, explicit in _corner_families(X):
+        got = validate_cubical(lists, explicit)
+        assert got == reference.validate_cubical(lists, explicit), (name, explicit)
+    whole = validate_cubical([c.corners for c in X.cells.values()], explicit=True)
+    if X.kind == "cubical":
+        assert whole.ok
+    elif len({frozenset(c.corners) for c in X.cells.values()}) < len(X.cells):
+        assert not whole.ok  # doubled cells share a corner set
+
+
+@st.composite
+def corner_list_families(draw):
+    """Small families of corner lists that collide often: corners come from a
+    small pool, and later lists may repeat an earlier corner set in another
+    order or put a square across an earlier cell's diagonal."""
+    pool = draw(st.integers(2, 12))
+    vertex = st.integers(0, pool - 1)
+    lists = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("fresh", "same set", "diagonal"))) if lists else "fresh"
+        wide = [c for c in lists if len(c) >= 4]
+        if kind == "same set":
+            lists.append(tuple(draw(st.permutations(draw(st.sampled_from(lists))))))
+        elif kind == "diagonal" and wide:
+            base = draw(st.sampled_from(wide))
+            b = draw(st.integers(0, len(base) - 1))
+            mask = draw(st.sampled_from([m for m in range(len(base)) if bin(m).count("1") >= 2]))
+            x, y = draw(vertex), draw(vertex)
+            lists.append((base[b], x, y, base[b ^ mask]))
+        else:
+            k = draw(st.integers(0, 3))
+            unique = draw(st.booleans()) and 1 << k <= pool
+            lists.append(
+                tuple(draw(st.lists(vertex, min_size=1 << k, max_size=1 << k, unique=unique)))
+            )
+    return lists
+
+
+@settings(max_examples=400)
+@given(corner_list_families(), st.booleans())
+def test_validation_matches_on_random_families(lists, explicit):
+    got = validate_cubical(lists, explicit)
+    assert got.findings == reference.validate_cubical(lists, explicit).findings
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_edges_at_corner_match_face_lookups(name):
+    X, _labels = case(name)
+    for cid, cube in X.cells.items():
+        for b in range(1 << cube.dim):
+            assert X.edges_at_corner(cid, b) == reference.edges_at_corner(X, cid, b)
+
+
+def _cube_with_a_doubled_edge():
+    """A solid 3-cube in which two of its squares hold different edges with
+    the same two corners, so the cube has two such edges."""
+    named = {}
+    for free in range(8):
+        axes = [a for a in range(3) if free >> a & 1]
+        for base in range(8):
+            if base & free:
+                continue
+            corners = []
+            for m in range(1 << len(axes)):
+                v = base | sum(1 << a for j, a in enumerate(axes) if m >> j & 1)
+                corners.append(("c", 0, v))
+            facets = [("c", free & ~(1 << a), base | s << a) for a in axes for s in (0, 1)]
+            named[("c", free, base)] = (tuple(corners), tuple(facets))
+    # the square {x, y} at z = 0 takes a twin of its edge along x at y = 0
+    named[("twin",)] = named[("c", 1, 0)]
+    square = ("c", 3, 0)
+    corners, facets = named[square]
+    named[square] = (corners, tuple(("twin",) if f == ("c", 1, 0) else f for f in facets))
+    return CubicalComplex.from_named_cells(named)
+
+
+def test_edges_at_corner_refuses_a_doubled_edge_like_face_of():
+    X = _cube_with_a_doubled_edge()
+    (cube,) = X.by_dim[3]
+    refused = 0
+    for b in range(8):
+        try:
+            want = reference.edges_at_corner(X, cube, b)
+        except CellNotFound as e:
+            with pytest.raises(CellNotFound) as got:
+                X.edges_at_corner(cube, b)
+            assert str(got.value) == str(e)
+            refused += 1
+        else:
+            assert X.edges_at_corner(cube, b) == want
+    assert refused == 2  # the two ends of the doubled edge
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_hyperplane_carriers_match_the_subcell_scan(name):
+    X, _labels = case(name)
+    got = [(h.edges, h.carriers) for h in hyperplanes(X)]
+    assert got == reference.hyperplane_carriers(X)
+
+
+def test_every_mirror_of_a_32_by_32_grid_separates():
+    n = 32
+    X = CubicalComplex.from_maximal_cells(random.Random(0).sample(grid_squares(n), n * n))
+    labels = find_folding(X)
+    ms = mirrors(X, labels)
+    counts = []
+    for M in ms:
+        rep = mirror_separates(X, M)
+        assert rep.separates
+        counts.append(rep.framing_count)
+    # an interior line frames its n edges (edge and two ends) and the two
+    # diagonal pairs at each of its n - 1 inner vertices: 5n - 2 cells
+    assert sorted(counts) == [0] * 4 + [5 * n - 2] * (2 * (n - 1))
+    ctx = surgery_context(build_dual(X), labels)
+    assert ctx.refusal is None and len(ctx.mirrors) == len(ms) == 2 * (n + 1)

@@ -41,7 +41,7 @@ from cubemill.surgery import (
     surgery_step,
     verify_certificate,
 )
-from helpers import deep_certificate_text, dual_of, mirror_list
+from helpers import deep_certificate_text, dual_of, grid_squares, mirror_list
 
 
 def _ctx(name):
@@ -313,7 +313,7 @@ def _reference_minimal_bridge(ctx, p):
 def _bridge_contexts():
     for name in simply_connected_names():
         yield name, _ctx(name)
-    X = CubicalComplex.from_maximal_cells(_grid_cells(6))
+    X = CubicalComplex.from_maximal_cells(grid_squares(6))
     yield "grid6x6", surgery_context(build_dual(X), find_folding(X))
 
 
@@ -525,17 +525,6 @@ def test_torus_meridian_is_refused_on_every_call():
         assert type(refused.value) is Unsupported
 
 
-def _grid_cells(n):
-    def v(x, y):
-        return (n + 1) * y + x
-
-    return [
-        (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
-        for x in range(n)
-        for y in range(n)
-    ]
-
-
 def _cube_grid_cells(k):
     def v(x, y, z):
         return (k + 1) ** 2 * z + (k + 1) * y + x
@@ -552,7 +541,7 @@ def _cube_grid_cells(k):
     "cells, digest",
     [
         (
-            _grid_cells(6),
+            grid_squares(6),
             "3acc2dfcad9b7eccc45965691eaab3451344d739b3754b7b14520046e7905a28",
         ),
         (
