@@ -31,6 +31,7 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .folding import assert_folding, find_folding, mirror_separates, mirrors
 from .gromov import gromov_hyperbolize, verify_gromov_properties
 from .surgery import (
+    Split,
     check_edge_path,
     contract_loop,
     crossings,
@@ -380,13 +381,14 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
                 if not verify_certificate(D, p, cert):
                     _emit({"ok": False, "seed": seed, "loop": list(p)}, code=1)
                     return
-
-                def depth(c):
-                    if hasattr(c, "left"):
-                        return 1 + max(depth(c.left), depth(c.right))
-                    return 0
-
-                depth_max = max(depth_max, depth(cert))
+                # split nesting depth, on an explicit stack
+                todo = [(cert, 0)]
+                while todo:
+                    c, d = todo.pop()
+                    if isinstance(c, Split):
+                        todo += ((c.left, d + 1), (c.right, d + 1))
+                    else:
+                        depth_max = max(depth_max, d)
             _emit({"ok": True, "loops": 100, "seed": seed, "max_split_depth": depth_max})
             return
         try:

@@ -540,11 +540,9 @@ def verify_cw(X):
             ca, cb = X.cells[a], X.cells[b]
             inter = set(ca.corners) & set(cb.corners)
             common = X.subcells(a) & X.subcells(b)
-            maximal = [
-                c
-                for c in common
-                if not any(c != d and c in X.subcells(d) for d in common)
-            ]
+            # common faces are closed under faces, so a face below another
+            # is a facet of some common face
+            maximal = common - {f for d in common for f in X.cells[d].facets}
             covered = set()
             disjoint = True
             for c in maximal:
@@ -648,16 +646,6 @@ class SimplicialComplex:
     def is_pure(self):
         n = self.dim
         return all(len(f) - 1 == n for f in self.maximal)
-
-    def skeleton_graph(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        for f in self.faces_of_dim(1):
-            a, b = sorted(f, key=name_key)
-            g.add_edge(a, b)
-        return g
 
     def counts(self):
         out = {}

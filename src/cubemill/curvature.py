@@ -10,35 +10,43 @@ self-osculations and inter-osculations.
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, all_links, name_key
+from .complexes import SimplicialComplex, all_links
 from .folding import _label_of, parallelism_classes
 
 
 def is_flag(S):
     """(True, None) when every clique of the 1-skeleton spans a simplex;
-    otherwise (False, witness) with a least non-spanning clique.
+    otherwise (False, witness) with a least minimal non-face.
 
-    Cliques are enumerated in increasing size so the witness is minimal;
-    among minimal failures the lexicographically least vertex set is chosen.
+    Faces grow level by level from the edges, each by the common neighbours
+    after its last vertex in name order. The first level that reaches a
+    non-face gives the witness, the least such tuple in name order.
     """
-    import networkx as nx
-
     if not isinstance(S, SimplicialComplex):
         raise TypeError("expected a simplicial complex")
-    g = S.skeleton_graph()
-    failures = []
-    failing_size = None
-    for clique in nx.enumerate_all_cliques(g):
-        if len(clique) < 3:
-            continue
-        if failing_size is not None and len(clique) > failing_size:
-            break
-        if frozenset(clique) not in S.faces:
-            failing_size = len(clique)
-            failures.append(tuple(sorted(clique, key=name_key)))
-    if not failures:
-        return True, None
-    return False, min(failures, key=name_key)
+    # vertices by their rank in name order, so rank tuples compare as names do
+    verts = S.vertices
+    rank = {v: k for k, v in enumerate(verts)}
+    later = {k: set() for k in range(len(verts))}
+    level = []
+    for f in S.faces:
+        if len(f) == 2:
+            a, b = sorted(rank[v] for v in f)
+            later[a].add(b)
+            level.append((a, b))
+    while level:
+        grown, failures = [], []
+        for f in level:
+            for w in set.intersection(*(later[u] for u in f)):
+                g = f + (w,)
+                if frozenset(verts[k] for k in g) in S.faces:
+                    grown.append(g)
+                else:
+                    failures.append(g)
+        if failures:
+            return False, tuple(verts[k] for k in min(failures))
+        level = grown
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ diagnoses a non-simply-connected source and a leaf diagnoses boundary.
 
 from dataclasses import dataclass
 
-from .folding import chambers_avoiding, mirrors
+from .folding import _DSU, chambers_avoiding, mirrors
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class TreeOfSpaces:
     @property
     def is_tree(self):
         return self.connected and self.acyclic
-
-    def graph(self):
-        return _incidence_graph(self.mirror_indices, len(self.chambers), self.edges)
 
     def to_payload(self):
         return {
@@ -66,12 +63,19 @@ def build_tree(Y, labels, i, mirror_list=None):
             if any(Y.subcells(t) & M.cells for t in chamber):
                 edges.append((M.index, k))
 
-    import networkx as nx
-
-    g = _incidence_graph([M.index for M in mine], len(chambers), edges)
-    connected = nx.is_connected(g) if g.number_of_nodes() else True
-    acyclic = nx.is_forest(g) if g.number_of_nodes() else True
-    leafless = all(d >= 2 for _n, d in g.degree)
+    # a simple graph is a forest exactly when |E| = |V| - components
+    nodes = [("mirror", M.index) for M in mine]
+    nodes += [("chamber", k) for k in range(len(chambers))]
+    dsu = _DSU(nodes)
+    degree = dict.fromkeys(nodes, 0)
+    for m, k in edges:
+        dsu.union(("mirror", m), ("chamber", k))
+        degree[("mirror", m)] += 1
+        degree[("chamber", k)] += 1
+    components = len({dsu.find(x) for x in nodes})
+    connected = components <= 1
+    acyclic = len(edges) == len(nodes) - components
+    leafless = all(d >= 2 for d in degree.values())
 
     return TreeOfSpaces(
         i,
@@ -82,16 +86,6 @@ def build_tree(Y, labels, i, mirror_list=None):
         acyclic,
         leafless,
     )
-
-
-def _incidence_graph(mirror_indices, n_chambers, edges):
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(("mirror", m) for m in mirror_indices)
-    g.add_nodes_from(("chamber", k) for k in range(n_chambers))
-    g.add_edges_from((("mirror", m), ("chamber", k)) for m, k in edges)
-    return g
 
 
 def build_all_trees(Y, labels):

@@ -207,32 +207,37 @@ def serialize_certificate(cert):
 
 
 def _emit_cert(cert, out):
-    if isinstance(cert, MoveChain):
-        out.append("chain")
-        for mv in cert.moves:
-            if isinstance(mv, BacktrackRemoval):
-                out.append(f"backtrack {mv.j}")
-            elif isinstance(mv, SquareSlide):
-                out.append(f"slide {mv.j} {mv.w} {mv.square}")
-            elif isinstance(mv, Rotate):
-                out.append(f"rotate {mv.k}")
-            else:
-                raise ValueError(f"unknown move {mv!r}")
-        out.append("end")
-    elif isinstance(cert, Split):
-        out.append(
-            f"split rotate {cert.rotate} mirror {cert.mirror_index} "
-            f"support {cert.support_index}"
-        )
-        out.append("bridge " + " ".join(str(v) for v in cert.bridge))
-        out.append("projected " + " ".join(str(v) for v in cert.projected))
-        out.append("left")
-        _emit_cert(cert.left, out)
-        out.append("right")
-        _emit_cert(cert.right, out)
-        out.append("end")
-    else:
-        raise ValueError(f"unknown certificate node {cert!r}")
+    """Write depth first on an explicit stack, so deep certificates are
+    bounded by memory and not by the recursion limit. The stack holds nodes
+    still to write and the literal lines that follow them."""
+    todo = [cert]
+    while todo:
+        cert = todo.pop()
+        if isinstance(cert, str):
+            out.append(cert)
+        elif isinstance(cert, MoveChain):
+            out.append("chain")
+            for mv in cert.moves:
+                if isinstance(mv, BacktrackRemoval):
+                    out.append(f"backtrack {mv.j}")
+                elif isinstance(mv, SquareSlide):
+                    out.append(f"slide {mv.j} {mv.w} {mv.square}")
+                elif isinstance(mv, Rotate):
+                    out.append(f"rotate {mv.k}")
+                else:
+                    raise ValueError(f"unknown move {mv!r}")
+            out.append("end")
+        elif isinstance(cert, Split):
+            out.append(
+                f"split rotate {cert.rotate} mirror {cert.mirror_index} "
+                f"support {cert.support_index}"
+            )
+            out.append("bridge " + " ".join(str(v) for v in cert.bridge))
+            out.append("projected " + " ".join(str(v) for v in cert.projected))
+            out.append("left")
+            todo += ("end", cert.right, "right", cert.left)
+        else:
+            raise ValueError(f"unknown certificate node {cert!r}")
 
 
 class _Lines:

@@ -153,15 +153,12 @@ def _extract_half(cells):
         if nm[0] == "i":
             raise AssertionError("a top-chain cell is fixed by the label swap")
 
-    import networkx as nx
-
-    g = nx.Graph()
-    movable = [nm for nm in cells if nm not in fix]
-    g.add_nodes_from(movable)
-    for nm in movable:
+    adj = {nm: [] for nm in cells if nm not in fix}
+    for nm, nbrs in adj.items():
         for f in cells[nm][1]:
             if f not in fix:
-                g.add_edge(nm, f)
+                nbrs.append(f)
+                adj[f].append(nm)
     seeds = [
         nm
         for nm, (co, _fa) in cells.items()
@@ -169,7 +166,14 @@ def _extract_half(cells):
     ]
     if len(seeds) != 1:
         raise AssertionError(f"expected one vertex over the face {{0}}, got {len(seeds)}")
-    U = frozenset(nx.node_connected_component(g, seeds[0])) | fix
+    queue = [seeds[0]]
+    half = set(queue)
+    for nm in queue:
+        for y in adj[nm]:
+            if y not in half:
+                half.add(y)
+                queue.append(y)
+    U = frozenset(half) | fix
     V = frozenset(sigma[nm] for nm in U)
     if U | V != set(cells) or U & V != fix:
         raise AssertionError("the fixed locus does not halve the complex")

@@ -626,22 +626,36 @@ def contract_loop(D, p, labels):
 
 
 def _contract(ctx, p):
-    hit = _first_crossing(ctx, p)
-    if hit is None:
-        _final, moves = contract_in_tile(ctx.D, p)
-        return MoveChain(moves)
-    step = _split(ctx, p, *hit)
-    left = _contract(ctx, step.left)
-    right = _contract(ctx, step.right)
-    return Split(
-        step.rotate,
-        step.mirror_index,
-        step.support_index,
-        step.bridge,
-        step.projected,
-        left,
-        right,
-    )
+    """Contract depth first, left before right, on an explicit stack, so long
+    loops are bounded by memory and not by the recursion limit. A split waits
+    under its two children and is assembled once both are done."""
+    todo = [p]
+    done = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, SurgeryStep):
+            right = done.pop()
+            left = done.pop()
+            done.append(
+                Split(
+                    item.rotate,
+                    item.mirror_index,
+                    item.support_index,
+                    item.bridge,
+                    item.projected,
+                    left,
+                    right,
+                )
+            )
+            continue
+        hit = _first_crossing(ctx, item)
+        if hit is None:
+            _final, moves = contract_in_tile(ctx.D, item)
+            done.append(MoveChain(moves))
+        else:
+            step = _split(ctx, item, *hit)
+            todo += (step, step.right, step.left)
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------

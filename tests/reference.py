@@ -1,13 +1,17 @@
-"""The all-pairs and all-cells definitions that the library's local scans replace.
+"""The direct definitions that the library's local scans and plain graph code replace.
 
 Each function is the earlier, direct reading of its definition: every pair of
-top cells for framings, every pair of listed cells for strict validation, one
-corner-set face lookup per coordinate for the edges at a corner, and every
-cell's subcells for hyperplane carriers. Differential tests compare the
-library against them.
+top cells for framings, every pair of listed cells for strict validation, a
+pairwise containment test for the maximal common faces of relaxed
+validation, one corner-set face lookup per coordinate for the edges at a
+corner, every cell's subcells for hyperplane carriers, networkx clique
+enumeration for flagness, and networkx verdicts on the mirror/chamber
+incidence graph. Differential tests compare the library against them.
 """
 
 from itertools import combinations
+
+import networkx as nx
 
 from cubemill.complexes import (
     Finding,
@@ -16,6 +20,7 @@ from cubemill.complexes import (
     array_dim,
     canonical_corner_array,
     face_array,
+    name_key,
 )
 from cubemill.folding import parallelism_classes
 
@@ -113,3 +118,76 @@ def hyperplane_carriers(X):
         )
         out.append((edges, tuple(carriers)))
     return out
+
+
+def verify_cw(X):
+    findings = []
+    seen = set()
+    for v in X.vertices:
+        at = X.cells_at_vertex[v]
+        for a, b in combinations(at, 2):
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            ca, cb = X.cells[a], X.cells[b]
+            inter = set(ca.corners) & set(cb.corners)
+            common = X.subcells(a) & X.subcells(b)
+            maximal = [
+                c
+                for c in common
+                if not any(c != d and c in X.subcells(d) for d in common)
+            ]
+            covered = set()
+            disjoint = True
+            for c in maximal:
+                cs = set(X.cells[c].corners)
+                if covered & cs:
+                    disjoint = False
+                covered |= cs
+            if not disjoint or covered != inter:
+                findings.append(
+                    Finding(
+                        "NonFaceIntersection",
+                        (a, b),
+                        "maximal common faces "
+                        f"{sorted(maximal)} do not tile the corner intersection",
+                    )
+                )
+    return ValidationReport(tuple(findings))
+
+
+def is_flag(S):
+    """Cliques in increasing size; the least failing clique of least size."""
+    g = nx.Graph()
+    g.add_nodes_from(S.vertices)
+    g.add_edges_from(tuple(f) for f in S.faces if len(f) == 2)
+    failures = []
+    failing_size = None
+    for clique in nx.enumerate_all_cliques(g):
+        if len(clique) < 3:
+            continue
+        if failing_size is not None and len(clique) > failing_size:
+            break
+        if frozenset(clique) not in S.faces:
+            failing_size = len(clique)
+            failures.append(tuple(sorted(clique, key=name_key)))
+    if not failures:
+        return True, None
+    return False, min(failures, key=name_key)
+
+
+def incidence_graph(t):
+    """The mirror/chamber incidence graph of a decomposition tree."""
+    g = nx.Graph()
+    g.add_nodes_from(("mirror", m) for m in t.mirror_indices)
+    g.add_nodes_from(("chamber", k) for k in range(len(t.chambers)))
+    g.add_edges_from((("mirror", m), ("chamber", k)) for m, k in t.edges)
+    return g
+
+
+def tree_verdicts(t):
+    """(connected, acyclic, leafless) of the incidence graph, by networkx."""
+    g = incidence_graph(t)
+    if not g.number_of_nodes():
+        return True, True, True
+    return nx.is_connected(g), nx.is_forest(g), all(d >= 2 for _n, d in g.degree)

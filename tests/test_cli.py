@@ -163,6 +163,21 @@ def test_open_path_is_a_bad_loop():
     assert "only loops contract" in doc["detail"]
 
 
+def test_a_9001_vertex_loop_contracts_and_verifies(tmp_path):
+    # 3000 crossings give 1500 splits nested 1500 deep, past the recursion
+    # limit: contraction, the certificate writer and its reader all keep their
+    # work on explicit stacks
+    loop = "19,7,20,24,17,7," * 1500 + "19"
+    cert = tmp_path / "long.cert"
+    r = run("contract", "--fixture", "grid2", "--loop", loop, "--verify", "--out", str(cert))
+    assert r.exit_code == 0
+    doc = payload(r)
+    assert (doc["length"], doc["crossings"], doc["verified"]) == (9000, 3000, True)
+    r = run("verify", "--fixture", "grid2", "--loop", loop, "--cert", str(cert))
+    assert r.exit_code == 0
+    assert payload(r) == {"valid": True}
+
+
 def test_validate_reports_inadmissible_input(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 3, 5]]}')
@@ -259,6 +274,58 @@ def test_importing_cubemill_leaves_networkx_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "False"
+
+
+def _networkx_after(tmp_path, *args):
+    """Run one subcommand in a fresh interpreter; (exit code, networkx loaded).
+
+    ``triangle`` in ``args`` stands for a simplicial file of one triangle.
+    """
+    tri = tmp_path / "triangle.json"
+    tri.write_text(TRIANGLE)
+    args = [str(tri) if a == "triangle" else a for a in args]
+    code = (
+        "import sys\n"
+        "from cubemill.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, 'networkx' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cubemill.__file__).parents[1]))
+    err = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    ).stderr
+    exit_code, loaded = err.split()[-2:]
+    return int(exit_code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("validate", "--fixture", "grid2"),
+        ("barsub", "--fixture", "sq1"),
+        ("fold", "--fixture", "grid2"),
+        ("links", "--fixture", "grid2"),
+        ("check-npc", "--fixture", "gdelta2"),
+        ("hyperplanes", "--fixture", "grid2"),
+        ("special-check", "--fixture", "grid2"),
+        ("mirrors", "--fixture", "grid2"),
+        ("dual", "--fixture", "grid2"),
+        ("contract", "--fixture", "grid2"),
+        ("tree", "--fixture", "grid2"),
+        ("fixture", "gdelta2"),
+        ("gromov", "--in", "triangle"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_subcommands_leave_networkx_unloaded(tmp_path, args):
+    assert _networkx_after(tmp_path, *args) == (0, False)
+
+
+def test_gromov_verify_loads_networkx_for_the_link_isomorphism(tmp_path):
+    # the one check that imports it; this keeps the probe above honest
+    assert _networkx_after(tmp_path, "gromov", "--in", "triangle", "--verify") == (0, True)
 
 
 def test_gromov_with_a_coloring_yields_the_square_model(tmp_path):

@@ -1,6 +1,10 @@
-import pytest
+from itertools import combinations
 
-from cubemill.complexes import CubicalComplex, SimplicialComplex
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from cubemill.complexes import CubicalComplex, SimplicialComplex, all_links
 from cubemill.curvature import (
     check_npc,
     check_special,
@@ -9,9 +13,9 @@ from cubemill.curvature import (
     is_flag,
     mirror_carries_hyperplane_side,
 )
-from cubemill.fixtures import fixture, rose, simply_connected_names
+from cubemill.fixtures import FIXTURE_NAMES, fixture, rose, simply_connected_names
 from cubemill.folding import find_folding
-from helpers import mirror_list
+from helpers import dual_of, mirror_list
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +44,48 @@ def test_empty_tetrahedron_boundary_of_triangles_is_not_flag():
     ok, witness = is_flag(S)
     assert not ok
     assert witness == (0, 1, 2, 3)
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """Small complexes over int and str vertex names: a random part of the
+    k-skeleton of a simplex plus a few random faces, so empty simplices of
+    every size up to four are common."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.integers(0, 9), st.text("abc", min_size=1, max_size=2)),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        )
+    )
+    k = draw(st.integers(2, min(4, len(pool))))
+    maximal = [f for f in combinations(pool, k) if draw(st.booleans())]
+    extra = st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True)
+    maximal += draw(st.lists(extra, min_size=1, max_size=4))
+    return SimplicialComplex(maximal)
+
+
+@settings(max_examples=500)
+@given(simplicial_complexes())
+def test_is_flag_matches_clique_enumeration(S):
+    assert is_flag(S) == reference.is_flag(S)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_is_flag_matches_clique_enumeration_on_fixture_links(name):
+    for X in (fixture(name).complex, dual_of(name).complex):
+        for lk in all_links(X):
+            assert is_flag(lk.complex) == reference.is_flag(lk.complex), lk.vertex
+
+
+def test_is_flag_witness_is_least_in_name_order():
+    # two empty triangles; names mix ints and strings, ints first
+    S = SimplicialComplex([(1, "a"), ("a", "b"), (1, "b"), (0, 1), (1, 2), (0, 2)])
+    assert is_flag(S) == (False, (0, 1, 2))
+    # the boundary of a 4-simplex, with a filled triangle hanging off it
+    S = SimplicialComplex([*combinations((3, "a", "b", "c", "d"), 4), ("a", 7, 8)])
+    assert is_flag(S) == reference.is_flag(S) == (False, (3, "a", "b", "c", "d"))
 
 
 # ---------------------------------------------------------------------------

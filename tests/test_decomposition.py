@@ -3,8 +3,11 @@
 import networkx as nx
 import pytest
 
+from cubemill.complexes import CubicalComplex
 from cubemill.decomposition import build_all_trees, build_tree
-from cubemill.fixtures import fixture, simply_connected_names
+from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
+from cubemill.folding import find_folding
+from reference import incidence_graph, tree_verdicts
 
 
 def _tree(name, i):
@@ -27,7 +30,7 @@ def test_grid_tree_is_a_five_vertex_path():
         t = _tree("grid2", i)
         assert (len(t.mirror_indices), len(t.chambers), len(t.edges)) == (3, 2, 4)
         assert t.is_tree
-        g = t.graph()
+        g = incidence_graph(t)
         assert sorted(d for _n, d in g.degree) == [1, 1, 2, 2, 2]
         assert [len(c) for c in t.chambers] == [2, 2]
 
@@ -37,7 +40,7 @@ def test_book_spine_coordinate_gives_a_star():
     assert (len(t.mirror_indices), len(t.chambers), len(t.edges)) == (4, 3, 6)
     assert t.is_tree
     assert t.edges == ((2, 0), (2, 1), (2, 2), (3, 0), (4, 1), (5, 2))
-    degrees = dict(t.graph().degree)
+    degrees = dict(incidence_graph(t).degree)
     assert degrees[("mirror", 2)] == 3
     assert all(degrees[("mirror", m)] == 1 for m in (3, 4, 5))
     assert all(degrees[("chamber", k)] == 2 for k in range(3))
@@ -71,7 +74,7 @@ def test_torus_decomposition_is_a_cycle():
         assert t.connected
         assert not t.acyclic
         assert t.leafless
-        assert sorted(d for _n, d in t.graph().degree) == [2] * 8
+        assert sorted(d for _n, d in incidence_graph(t).degree) == [2] * 8
         assert [len(c) for c in t.chambers] == [4, 4, 4, 4]
 
 
@@ -131,6 +134,19 @@ def test_payload_round_trips_the_graph():
     }
     assert payload["coordinate"] == 0
     assert sorted(map(tuple, payload["edges"])) == sorted(t.edges)
-    g = t.graph()
+    g = incidence_graph(t)
     assert g.number_of_nodes() == len(payload["mirrors"]) + len(payload["chambers"])
     assert nx.is_tree(g) == t.is_tree
+
+
+@pytest.mark.parametrize("name", (*FIXTURE_NAMES, "two squares"))
+def test_verdicts_match_networkx_on_every_coordinate(name):
+    if name == "two squares":
+        X = CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (4, 5, 6, 7)])
+        trees = build_all_trees(X, find_folding(X))
+        assert not any(t.connected for t in trees)
+    else:
+        f = fixture(name)
+        trees = build_all_trees(f.complex, f.labels)
+    for t in trees:
+        assert (t.connected, t.acyclic, t.leafless) == tree_verdicts(t), t.coordinate

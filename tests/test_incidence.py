@@ -1,8 +1,9 @@
 """Local incidence scans against the all-pairs definitions they replace.
 
-Framings, strict validation, the edges at a cube corner and hyperplane
-carriers are found from vertex and coface incidence; ``reference`` keeps the
-direct definitions. Outputs must agree in full, order included.
+Framings, strict validation, the maximal common faces of relaxed validation,
+the edges at a cube corner and hyperplane carriers are found from vertex and
+coface incidence; ``reference`` keeps the direct definitions. Outputs must
+agree in full, order included.
 """
 
 import random
@@ -10,14 +11,20 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from cubemill.complexes import CubicalComplex, validate_cubical
+from cubemill.complexes import (
+    CubicalComplex,
+    array_dim,
+    face_array,
+    validate_cubical,
+    verify_cw,
+)
 from cubemill.curvature import hyperplanes
 from cubemill.dual import build_dual
 from cubemill.errors import CellNotFound
-from cubemill.fixtures import FIXTURE_NAMES, fixture, strip
+from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, strip
 from cubemill.folding import find_folding, framings, mirror_separates, mirrors
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
@@ -146,6 +153,50 @@ def corner_list_families(draw):
 def test_validation_matches_on_random_families(lists, explicit):
     got = validate_cubical(lists, explicit)
     assert got.findings == reference.validate_cubical(lists, explicit).findings
+
+
+def _glued_by_corner_sets(lists):
+    """A cw complex with one top cell per corner list; lower faces with equal
+    corner sets are one cell, so equal top corner sets stay doubled."""
+    named = {}
+
+    def add(arr, name):
+        if name not in named:
+            k = array_dim(arr)
+            facets = []
+            for i in range(k):
+                for s in (0, 1):
+                    face = face_array(arr, i, s)
+                    facets.append(add(face, face[0] if len(face) == 1 else frozenset(face)))
+            named[name] = (arr, tuple(facets))
+        return name
+
+    for idx, arr in enumerate(lists):
+        add(tuple(arr), arr[0] if len(arr) == 1 else ("top", idx))
+    return CubicalComplex.from_named_cells(named)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_relaxed_validation_matches_the_pairwise_definition(name):
+    X, _labels = case(name)
+    assert verify_cw(X) == reference.verify_cw(X)
+
+
+def test_relaxed_validation_matches_on_the_doubled_square():
+    X = _glued_by_corner_sets(doubled_square_lists())
+    got = verify_cw(X)
+    assert not got.ok
+    assert got == reference.verify_cw(X)
+
+
+@settings(max_examples=300)
+@given(corner_list_families())
+def test_relaxed_validation_matches_on_random_families(lists):
+    # cells are embedded, so lists with a repeated corner are left out
+    lists = [arr for arr in lists if len(set(arr)) == len(arr)]
+    assume(lists)
+    X = _glued_by_corner_sets(lists)
+    assert verify_cw(X) == reference.verify_cw(X)
 
 
 @pytest.mark.parametrize("name", CASES)
