@@ -19,7 +19,6 @@ coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -122,15 +121,15 @@ def canonicalize_cell(arr, facets):
     return tuple([arr[b] for b in positions]), tuple(new_facets)
 
 
-@lru_cache(maxsize=None)
-def _subface_sets(arr):
-    """All corner sets of faces of the cube with corner array ``arr`` (itself included)."""
-    k = array_dim(arr)
-    out = {frozenset(arr)}
-    for i in range(k):
-        for s in (0, 1):
-            out |= _subface_sets(face_array(arr, i, s))
-    return frozenset(out)
+def _is_face(arr, corners):
+    """Whether ``corners``, a nonempty subset of the corners of the cube
+    ``arr``, is the corner set of one of its faces: their positions must fill
+    the subcube that their XOR-spread from one of them spans."""
+    pos = [b for b, v in enumerate(arr) if v in corners]
+    spread = 0
+    for b in pos:
+        spread |= b ^ pos[0]
+    return len(pos) == 1 << bin(spread).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def _subface_sets(arr):
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str  # RepeatedCorner | NonFaceIntersection | MissingFace
+    kind: str  # RepeatedCorner | NonFaceIntersection
     cells: tuple
     detail: str
 
@@ -181,22 +180,13 @@ class CheckReport:
         }
 
 
-def validate_cubical(corner_lists, explicit=False):
+def validate_cubical(corner_lists):
     """Check a family of corner lists at the strict admissibility level.
 
-    Parameters
-    ----------
-    corner_lists : iterable of corner lists in bitmask order.
-    explicit : bool
-        When true the family is taken as the complete cell set and every
-        facet of every listed cell must itself be listed (MissingFace);
-        otherwise the closure is implied and only the listed cells are
-        checked against each other.
-
-    Returns
-    -------
-    ValidationReport with RepeatedCorner, NonFaceIntersection and MissingFace
-    findings. Cells are referred to by their index in the input.
+    The closure of the listed cells is implied, so only the listed cells are
+    checked against each other. Returns a ValidationReport with
+    RepeatedCorner and NonFaceIntersection findings; cells are referred to by
+    their index in the input.
     """
     cells = [tuple(c) for c in corner_lists]
     findings = []
@@ -222,22 +212,6 @@ def validate_cubical(corner_lists, explicit=False):
                 )
             )
 
-    if explicit:
-        present = set(by_canon)
-        for idx, canon in sorted(clean.items()):
-            k = array_dim(canon)
-            for i in range(k):
-                for s in (0, 1):
-                    sub = canonical_corner_array(face_array(canon, i, s))
-                    if sub not in present:
-                        findings.append(
-                            Finding(
-                                "MissingFace",
-                                (idx,),
-                                f"facet with corners {sorted(set(sub))} absent",
-                            )
-                        )
-
     # single-common-face test on the pairs that share a corner; faces of the
     # listed cells inherit it
     at_corner = {}
@@ -251,8 +225,8 @@ def validate_cubical(corner_lists, explicit=False):
         A, B = clean[a], clean[b]
         if A == B:
             continue  # already reported as a duplicate pair
-        inter = frozenset(A) & frozenset(B)
-        if inter not in _subface_sets(A) or inter not in _subface_sets(B):
+        inter = frozenset(A) & frozenset(B)  # nonempty: the pair shares a corner
+        if not (_is_face(A, inter) and _is_face(B, inter)):
             findings.append(
                 Finding(
                     "NonFaceIntersection",
@@ -338,8 +312,8 @@ class CubicalComplex:
         return cls(cubes, kind="cubical")
 
     @classmethod
-    def from_named_cells(cls, named, kind="cw"):
-        """Finalize a named cell dictionary into a complex.
+    def from_named_cells(cls, named):
+        """Finalize a named cell dictionary into a relaxed (cw) complex.
 
         ``named`` maps construction names to ``(corners, facets)`` where both
         reference other names; corners reference 0-cell names in bitmask
@@ -366,7 +340,7 @@ class CubicalComplex:
             cubes.append(Cube(cid[n], carr, tuple(cid[f] for f in cfacets)))
         names = {cid[n]: n for n in order}
         vertex_names = {v: n for n, v in vid.items()}
-        return cls(cubes, kind=kind, names=names, vertex_names=vertex_names)
+        return cls(cubes, kind="cw", names=names, vertex_names=vertex_names)
 
     # -- indexes ---------------------------------------------------------
 

@@ -169,11 +169,11 @@ def check_special(X):
     vertex without a common square. Inter-osculation: two hyperplanes both
     cross a common square and osculate at a vertex.
     """
-    hps = hyperplanes(X)
-    hp_of = {}
-    for hp in hps:
-        for e in hp.edges:
-            hp_of[e] = hp.index
+    hp_of = {
+        e: idx
+        for idx, edges in enumerate(parallelism_classes(X).values())
+        for e in edges
+    }
 
     self_int = []
     crossing_pairs = {}

@@ -33,9 +33,6 @@ class DualComplex:
     # surgery contexts keyed by folding content, filled by surgery.surgery_context
     _surgery: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def height(self, v):
-        return self.heights[v]
-
     def skeleton(self):
         """The dual 1-skeleton as an adjacency dict ``{v: {w: None}}``, cached.
 
@@ -164,8 +161,10 @@ def verify_dual_axioms(D):
     bad = []
     for cube in X.cells.values():
         k = cube.dim
-        lows = [v for v in cube.corners if h[v] == min(h[u] for u in cube.corners)]
-        highs = [v for v in cube.corners if h[v] == max(h[u] for u in cube.corners)]
+        low = min(h[u] for u in cube.corners)
+        high = max(h[u] for u in cube.corners)
+        lows = [v for v in cube.corners if h[v] == low]
+        highs = [v for v in cube.corners if h[v] == high]
         if len(lows) != 1 or len(highs) != 1:
             bad.append(cube.cid)
             continue
@@ -190,8 +189,8 @@ def verify_dual_axioms(D):
         flag_ok, _w = is_flag(lk.complex)
         if not flag_ok:
             bad_links.append(v)
-        other = {e: _other_end(X, e, v) for e in lk.complex.vertices}
-        up = {e for e, w in other.items() if h[w] > h[v]}
+        # an edge at v goes up when its higher corner is above v
+        up = {e for e in lk.complex.vertices if max(h[w] for w in X.cells[e].corners) > h[v]}
         down = {e for e in lk.complex.vertices if e not in up}
         for side in (up, down):
             sub = [f for f in lk.complex.faces if f <= side]
@@ -223,22 +222,12 @@ def _verdict(name, bad):
     return (name, "fail", f"{len(bad)} violations, first {sorted(bad)[:3]}")
 
 
-def _other_end(X, edge_cid, v):
-    a, b = X.cells[edge_cid].corners
-    if a == v:
-        return b
-    if b == v:
-        return a
-    return None
-
-
 # ---------------------------------------------------------------------------
 # mirrors on the dual side
 
 
 @dataclass(frozen=True)
 class DualMirror:
-    mirror: object  # the source Mirror
     vertices: frozenset  # dual vertices over mirror cells
     components: tuple  # complement components (frozensets of dual vertices)
     component_of: dict  # complement dual vertex -> component index
@@ -267,4 +256,4 @@ def dual_mirror(D, M):
                     component_of[w] = i
                     comp.append(w)
         components.append(frozenset(comp))
-    return DualMirror(M, verts, tuple(components), component_of)
+    return DualMirror(verts, tuple(components), component_of)

@@ -178,8 +178,7 @@ def find_folding(X):
                 continue
             lab[start] = tuple(0 for _ in range(n))
             queue = [start]
-            while queue:
-                v = queue.pop(0)
+            for v in queue:
                 for w, e in adj[v]:
                     i = assign[root_of[e]]
                     want = tuple(
@@ -337,7 +336,6 @@ def framings(X, M):
 
 @dataclass(frozen=True)
 class SeparationReport:
-    mirror: int
     separates: bool
     n_components: int
     component_of: dict  # top cell -> component index
@@ -375,4 +373,4 @@ def mirror_separates(X, M):
     comp_of = {t: idx for idx, comp in enumerate(comps) for t in comp}
     fr = framings(X, M)
     separated = all(comp_of[c1] != comp_of[c2] for (_s, (c1, c2)) in fr)
-    return SeparationReport(M.index, separated, len(comps), comp_of, len(fr))
+    return SeparationReport(separated, len(comps), comp_of, len(fr))

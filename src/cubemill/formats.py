@@ -128,7 +128,13 @@ def parse_complex(text):
                 f"cells[{i}].facets",
             )
             _check_corner_count(corners, f"cells[{i}].corners")
+            if len(facets) != 2 * (len(corners).bit_length() - 1):
+                raise FormatError(
+                    "a k-cell lists 2k facets", field=f"cells[{i}].facets"
+                )
             name = corners[0] if len(corners) == 1 else ("cell", i)
+            if name in named:
+                raise FormatError("0-cell listed twice", field=f"cells[{i}].corners")
             named[name] = (corners, facets)
         # facet references are list positions; remap them to names
         by_pos = list(named)
@@ -145,7 +151,7 @@ def parse_complex(text):
                 tuple(by_pos[f] for f in facets),
             )
         try:
-            return CubicalComplex.from_named_cells(remapped, kind="cw")
+            return CubicalComplex.from_named_cells(remapped)
         except (ValueError, KeyError) as e:
             raise FormatError(f"inconsistent cell table: {e}", field="cells") from None
     raise FormatError(f"unknown kind {kind!r}", field="kind")

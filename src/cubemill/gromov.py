@@ -21,6 +21,7 @@ complement of the fixed locus ever fails to split into two swapped halves,
 the build aborts rather than producing a wrong complex.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,7 +41,6 @@ MAX_MODEL_DIM = 3
 
 @dataclass(frozen=True)
 class Model:
-    m: int
     cells: dict  # name -> (corner names bitmask order, facet names (axis, side) order)
     boundary: dict  # boundary cell name -> (face label frozenset, strat name)
     folding: dict  # vertex name -> m-bit tuple
@@ -192,7 +192,7 @@ def model(m):
         )
     if m == 0:
         point = ("o",)
-        mdl = Model(0, {point: ((point,), ())}, {}, {point: ()})
+        mdl = Model({point: ((point,), ())}, {}, {point: ()})
     elif m == 1:
         S = barsub(boundary_complex(1))
         B = assemble(S, canonical_barsub_folding(S))
@@ -206,7 +206,7 @@ def model(m):
             edge: ((v0, v1), (v0, v1)),
         }
         boundary = {v0: (frozenset({0}), y0), v1: (frozenset({1}), y1)}
-        mdl = Model(1, cells, boundary, {v0: (0,), v1: (1,)})
+        mdl = Model(cells, boundary, {v0: (0,), v1: (1,)})
     else:
         S = barsub(boundary_complex(m))
         B = assemble(S, canonical_barsub_folding(S))
@@ -260,7 +260,7 @@ def model(m):
             if len(co) == 1 and nm not in folding:
                 assert nm[0] == "b"
                 folding[nm] = B.folding[nm[1]] + (1,)
-        mdl = Model(m, cells, boundary, folding)
+        mdl = Model(cells, boundary, folding)
     _models[m] = mdl
     return mdl
 
@@ -276,7 +276,6 @@ class GromovResult:
     tiles: dict  # source top simplex (frozenset) -> tuple of cell ids
     provenance: dict  # cell id -> ("interior"|"stratum", source face frozenset)
     source: SimplicialComplex
-    source_labels: dict
 
 
 def gromov_hyperbolize(K, labels=None):
@@ -306,7 +305,7 @@ def gromov_hyperbolize(K, labels=None):
     provenance = {}
     for cid, nm in X.names.items():
         provenance[cid] = ("interior", nm[1]) if nm[0] == "i" else ("stratum", nm[1])
-    return GromovResult(X, folding, tiles, provenance, K, dict(labels))
+    return GromovResult(X, folding, tiles, provenance, K)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +473,6 @@ def _simplicial_boundaryless(K):
         return True
     if not K.is_pure():
         return False
-    for f in K.faces_of_dim(n - 1):
-        holders = [g for g in K.maximal if f < g]
-        if len(holders) != 2:
-            return False
-    return True
+    # the complex is pure, so every (n-1)-face is a facet of some maximal face
+    holders = Counter(g - {v} for g in K.maximal for v in g)
+    return all(count == 2 for count in holders.values())

@@ -19,7 +19,7 @@ interior minima of a sweep together, and a slide's new vertex is the least
 fourth corner completing a stored dual square.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dual import dual_mirror, tops_containing
 from .errors import (
@@ -96,10 +96,6 @@ def check_edge_path(D, vertices):
         if abs(D.heights[a] - D.heights[b]) != 1:
             raise ValueError(f"{a} -> {b} does not change height by one")
     return p
-
-
-def path_length(p):
-    return len(p) - 1
 
 
 def is_loop(p):
@@ -282,13 +278,16 @@ class MoveChain:
 
 @dataclass(frozen=True)
 class Split:
+    """A surgery split. In a certificate the children are certificates; from
+    ``surgery_step`` they are the two loops themselves."""
+
     rotate: int  # rotation bringing the bridge to the basepoint
     mirror_index: int  # the crossed mirror that triggered surgery
     support_index: int  # the support mirror of the projected bridge
     bridge: tuple  # q1, a prefix of the rotated loop
     projected: tuple  # the bridge projected into the support region
-    left: object  # certificate for bridge . reversed(projected)
-    right: object  # certificate for projected . rest-of-loop
+    left: object  # for bridge . reversed(projected)
+    right: object  # for projected . rest-of-loop
 
 
 def _apply_backtrack(p, j):
@@ -539,24 +538,13 @@ def project_bridge(ctx, q, M):
 # surgery
 
 
-@dataclass(frozen=True)
-class SurgeryStep:
-    mirror_index: int
-    rotate: int
-    bridge: tuple
-    support_index: int
-    projected: tuple
-    left: tuple  # bridge . reversed(projected)
-    right: tuple  # projected . rest of the rotated loop
-
-
 def surgery_step(ctx, p):
     """One splitting step on a loop that crosses a framed mirror.
 
     Scans mirrors in canonical order for the first with crossings, picks the
     shortest cyclic gap between consecutive crossing runs, takes the least
-    minimal bridge inside the gap, projects it, and returns the two strictly
-    shorter loops with the data needed to certify the split.
+    minimal bridge inside the gap, projects it, and returns the split with the
+    two strictly shorter loops as its ``left`` and ``right``.
     """
     p = check_edge_path(ctx.D, p)
     if not is_loop(p) or len(p) < 2:
@@ -568,7 +556,8 @@ def surgery_step(ctx, p):
 
 
 def _split(ctx, p, M, prof):
-    """The surgery step on a loop crossing ``M`` with profile ``prof``."""
+    """The surgery step on a loop crossing ``M`` with profile ``prof``: a
+    ``Split`` whose children are the two loops still to contract."""
     n = len(p) - 1
     runs = [r for r, flag in zip(prof.runs, prof.crossing_flags) if flag]
     gaps = []
@@ -599,13 +588,11 @@ def _split(ctx, p, M, prof):
     left = q1 + tuple(reversed(projected))[1:]
     right = projected + q2[1:]
 
-    if path_length(left) > path_length(p) - 2:
+    if len(left) > len(p) - 2:
         raise AssertionError("left loop failed to shrink")
-    if path_length(right) > path_length(p) - 2:
+    if len(right) > len(p) - 2:
         raise AssertionError("right loop failed to shrink")
-    return SurgeryStep(
-        M.index, rot, q1, br.support_index, projected, left, right
-    )
+    return Split(rot, M.index, br.support_index, q1, projected, left, right)
 
 
 def contract_loop(D, p, labels):
@@ -628,33 +615,23 @@ def contract_loop(D, p, labels):
 def _contract(ctx, p):
     """Contract depth first, left before right, on an explicit stack, so long
     loops are bounded by memory and not by the recursion limit. A split waits
-    under its two children and is assembled once both are done."""
+    under its two child loops and takes their certificates once both are
+    done."""
     todo = [p]
     done = []
     while todo:
         item = todo.pop()
-        if isinstance(item, SurgeryStep):
+        if isinstance(item, Split):
             right = done.pop()
-            left = done.pop()
-            done.append(
-                Split(
-                    item.rotate,
-                    item.mirror_index,
-                    item.support_index,
-                    item.bridge,
-                    item.projected,
-                    left,
-                    right,
-                )
-            )
+            done.append(replace(item, left=done.pop(), right=right))
             continue
         hit = _first_crossing(ctx, item)
         if hit is None:
             _final, moves = contract_in_tile(ctx.D, item)
             done.append(MoveChain(moves))
         else:
-            step = _split(ctx, item, *hit)
-            todo += (step, step.right, step.left)
+            split = _split(ctx, item, *hit)
+            todo += (split, split.right, split.left)
     return done.pop()
 
 

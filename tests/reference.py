@@ -9,6 +9,7 @@ enumeration for flagness, and networkx verdicts on the mirror/chamber
 incidence graph. Differential tests compare the library against them.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
@@ -16,7 +17,6 @@ import networkx as nx
 from cubemill.complexes import (
     Finding,
     ValidationReport,
-    _subface_sets,
     array_dim,
     canonical_corner_array,
     face_array,
@@ -38,7 +38,18 @@ def framings(X, M):
     return out
 
 
-def validate_cubical(corner_lists, explicit=False):
+@lru_cache(maxsize=None)
+def _subface_sets(arr):
+    """All corner sets of faces of the cube with corner array ``arr`` (itself included)."""
+    k = array_dim(arr)
+    out = {frozenset(arr)}
+    for i in range(k):
+        for s in (0, 1):
+            out |= _subface_sets(face_array(arr, i, s))
+    return frozenset(out)
+
+
+def validate_cubical(corner_lists):
     cells = [tuple(c) for c in corner_lists]
     findings = []
     clean = {}
@@ -62,22 +73,6 @@ def validate_cubical(corner_lists, explicit=False):
                     f"{sorted(set(canon))}",
                 )
             )
-
-    if explicit:
-        present = set(by_canon)
-        for idx, canon in sorted(clean.items()):
-            k = array_dim(canon)
-            for i in range(k):
-                for s in (0, 1):
-                    sub = canonical_corner_array(face_array(canon, i, s))
-                    if sub not in present:
-                        findings.append(
-                            Finding(
-                                "MissingFace",
-                                (idx,),
-                                f"facet with corners {sorted(set(sub))} absent",
-                            )
-                        )
 
     for a, b in combinations(sorted(clean), 2):
         A, B = clean[a], clean[b]

@@ -221,7 +221,27 @@ def test_parse_errors_exit_with_usage_code(tmp_path):
         assert "cap" in payload(r)["detail"]
 
 
-TRIANGLE = '{"kind": "simplicial", "maximal": [[0, 1, 2]]}'
+@pytest.mark.parametrize(
+    "cells, field",
+    [
+        # an edge listing no facets
+        ([{"corners": [0], "facets": []}, {"corners": [1], "facets": []},
+          {"corners": [0, 1], "facets": []}], "cells[2].facets"),
+        # a 0-cell listed twice would shift every later positional facet reference
+        ([{"corners": [0], "facets": []}, {"corners": [0], "facets": []}], "cells[1].corners"),
+    ],
+)
+def test_malformed_cw_cell_tables_are_format_errors(tmp_path, cells, field):
+    path = tmp_path / "cw.json"
+    path.write_text(json.dumps({"kind": "cw", "cells": cells}))
+    r = run("validate", "--in", str(path))
+    assert r.exit_code == 2
+    doc = payload(r)
+    assert doc["error"] == "FormatError"
+    assert repr(field) in doc["detail"]
+
+
+TRIANGLE ='{"kind": "simplicial", "maximal": [[0, 1, 2]]}'
 CUBICAL_ONLY = (
     "validate", "links", "check-npc", "fold", "hyperplanes", "mirrors", "dual", "tree",
     "special-check", "contract", "verify",

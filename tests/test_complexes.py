@@ -133,7 +133,7 @@ def test_cylinder_of_two_squares_passes_relaxed_check():
         ("sq", 0): ((0, 1, 2, 3), (("a", 0), ("b", 0), ("top",), ("bot",))),
         ("sq", 1): ((0, 1, 2, 3), (("a", 1), ("b", 1), ("top",), ("bot",))),
     }
-    X = CubicalComplex.from_named_cells(named, kind="cw")
+    X = CubicalComplex.from_named_cells(named)
     assert X.counts() == {0: 4, 1: 6, 2: 2}
     assert X.euler_characteristic() == 0
     assert verify_cw(X).ok
@@ -152,7 +152,7 @@ def test_two_squares_glued_along_their_whole_boundary_fail_relaxed_check():
         ("sq", 0): ((0, 1, 2, 3), (("a",), ("b",), ("top",), ("bot",))),
         ("sq", 1): ((0, 1, 2, 3), (("a",), ("b",), ("top",), ("bot",))),
     }
-    X = CubicalComplex.from_named_cells(named, kind="cw")
+    X = CubicalComplex.from_named_cells(named)
     report = verify_cw(X)
     assert not report.ok
     assert report.findings[0].kind == "NonFaceIntersection"
@@ -224,7 +224,7 @@ def test_bigon_link_detected():
         ("s1",): ((0, 1, 2, 3), (("b",), ("c",), ("a",), ("d",))),
         ("s2",): ((0, 1, 2, 4), (("b",), ("c2",), ("a",), ("d2",))),
     }
-    X = CubicalComplex.from_named_cells(named, kind="cw")
+    X = CubicalComplex.from_named_cells(named)
     lk = link(X, X.zero_cell[0])
     assert not lk.simplicial
     assert len(lk.bigons) == 1

@@ -90,7 +90,7 @@ def _twisted_pair():
         ("sq", 0): ((0, 1, 2, 3), (("a",), ("b",), ("top",), ("bot",))),
         ("sq", 1): ((0, 1, 2, 3), (("a",), ("b",), ("top",), ("bot",))),
     }
-    return CubicalComplex.from_named_cells(named, kind="cw")
+    return CubicalComplex.from_named_cells(named)
 
 
 def test_adjacency_is_codimension_one_incidence():

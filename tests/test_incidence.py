@@ -104,16 +104,15 @@ def test_framings_test_only_pairs_at_the_mirror(name):
 def _corner_families(X):
     cells = [X.cells[c].corners for c in sorted(X.cells)]
     tops = [X.cells[t].corners for t in X.top_cells()]
-    return [(cells, True), (cells, False), (tops, False), (tops[::-1], True)]
+    return [cells, tops, tops[::-1]]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_validation_matches_the_pairwise_definition(name):
     X, _labels = case(name)
-    for lists, explicit in _corner_families(X):
-        got = validate_cubical(lists, explicit)
-        assert got == reference.validate_cubical(lists, explicit), (name, explicit)
-    whole = validate_cubical([c.corners for c in X.cells.values()], explicit=True)
+    for lists in _corner_families(X):
+        assert validate_cubical(lists) == reference.validate_cubical(lists), name
+    whole = validate_cubical([c.corners for c in X.cells.values()])
     if X.kind == "cubical":
         assert whole.ok
     elif len({frozenset(c.corners) for c in X.cells.values()}) < len(X.cells):
@@ -149,10 +148,10 @@ def corner_list_families(draw):
 
 
 @settings(max_examples=400)
-@given(corner_list_families(), st.booleans())
-def test_validation_matches_on_random_families(lists, explicit):
-    got = validate_cubical(lists, explicit)
-    assert got.findings == reference.validate_cubical(lists, explicit).findings
+@given(corner_list_families())
+def test_validation_matches_on_random_families(lists):
+    got = validate_cubical(lists)
+    assert got.findings == reference.validate_cubical(lists).findings
 
 
 def _glued_by_corner_sets(lists):
