@@ -19,6 +19,7 @@ coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -281,34 +282,23 @@ class CubicalComplex:
             report = validate_cubical(lists)
             if not report.ok:
                 raise NotAdmissible(report)
-        canon = {}  # canonical array -> None, then -> cid
+        facets_of = {}  # canonical array -> canonical facet arrays
 
         def add(arr):
             a = canonical_corner_array(arr)
-            if a in canon:
-                return
-            canon[a] = None
-            k = array_dim(a)
-            for i in range(k):
-                for s in (0, 1):
-                    add(face_array(a, i, s))
+            if a not in facets_of:
+                k = len(a).bit_length() - 1
+                facets_of[a] = tuple(add(face_array(a, i, s)) for i in range(k) for s in (0, 1))
+            return a
 
         for arr in lists:
             if len(set(arr)) != len(arr):
                 raise NotAdmissible(f"repeated corners in {arr}")
             add(arr)
-        order = sorted(canon, key=lambda a: (array_dim(a), a))
-        for cid, a in enumerate(order):
-            canon[a] = cid
-        cubes = []
-        for a in order:
-            k = array_dim(a)
-            facets = tuple(
-                canon[canonical_corner_array(face_array(a, i, s))]
-                for i in range(k)
-                for s in (0, 1)
-            )
-            cubes.append(Cube(canon[a], a, facets))
+        # a k-cube has 2^k corners, so (length, array) is (dimension, array) order
+        order = sorted(facets_of, key=lambda a: (len(a), a))
+        cid = {a: i for i, a in enumerate(order)}
+        cubes = [Cube(cid[a], a, tuple(cid[f] for f in facets_of[a])) for a in order]
         return cls(cubes, kind="cubical")
 
     @classmethod
@@ -345,6 +335,10 @@ class CubicalComplex:
     # -- indexes ---------------------------------------------------------
 
     def _check_local_structure(self):
+        # Whether every facet's own frame gives it the edges its cube's frame
+        # does; then each edge of a cube is a subcell. Only cw input can
+        # disagree (a square facet taken with its diagonals swapped).
+        self._frames_agree = True
         for c in self.cells.values():
             k = c.dim
             if len(set(c.corners)) != len(c.corners):
@@ -362,6 +356,14 @@ class CubicalComplex:
                         raise ValueError(
                             f"cube {c.cid} facet ({i},{s}) corners disagree"
                         )
+            if k > 2 and self._frames_agree:
+                where = {v: b for b, v in enumerate(c.corners)}
+                axes = {1 << i for i in range(k)}
+                pos = [[where[v] for v in self.cells[f].corners] for f in c.facets]
+                self._frames_agree = all(
+                    (q[p] ^ q[p ^ (1 << j)]) in axes
+                    for q in pos for p in range(len(q)) for j in range(k - 1)
+                )
 
     def _index(self):
         self.by_dim = {}
@@ -381,7 +383,12 @@ class CubicalComplex:
             for i in range(cube.dim):
                 for s in (0, 1):
                     self.cofaces[cube.facets[2 * i + s]].append((c, i, s))
+        # edges by sorted corner pair; only doubled edges share a pair
+        self._edges_at_pair = {}
+        for e in self.by_dim.get(1, []):
+            self._edges_at_pair.setdefault(tuple(sorted(self.cells[e].corners)), []).append(e)
         self._subcells = {}
+        self._cw_report = None  # verify_cw's verdict, computed on first request
 
     # -- basic queries ----------------------------------------------------
 
@@ -470,19 +477,19 @@ class CubicalComplex:
 
         The edge along coordinate ``i`` is the 1-face whose corners are
         ``corners[b]`` and ``corners[b ^ (1 << i)]``, as :meth:`face_of`
-        resolves it, found from one scan of the subcells.
+        resolves it. Where every facet's frame agrees with its cube's (checked
+        at construction), each such edge is a subcell of the cube, so an edge
+        alone at its corner pair is that face. Otherwise, and for the edges of
+        a doubled pair, the candidates are filtered by the cube's subcells.
         """
         cube = self.cell(cid)
         v = cube.corners[b]
-        ends = {}  # other end -> 1-faces from v to it
-        for f in self.subcells(cid):
-            pair = self.cells[f].corners
-            if len(pair) == 2 and v in pair:
-                ends.setdefault(pair[1] if pair[0] == v else pair[0], []).append(f)
         out = []
         for i in range(cube.dim):
             w = cube.corners[b ^ (1 << i)]
-            matches = ends.get(w, [])
+            matches = self._edges_at_pair.get((v, w) if v < w else (w, v), [])
+            if len(matches) > 1 or not self._frames_agree:
+                matches = [e for e in matches if e in self.subcells(cid)]
             if len(matches) != 1:
                 raise CellNotFound(
                     f"cell {cid} has {len(matches)} faces with corners {sorted((v, w))}"
@@ -501,8 +508,15 @@ def verify_cw(X):
     Every cube must be embedded (checked at construction) and every pair of
     cells must intersect in a union of pairwise vertex-disjoint common faces:
     the maximal common faces are vertex-disjoint and their corners cover the
-    corner-set intersection.
+    corner-set intersection. The complex is immutable, so the report is kept
+    on it and a second call returns the first verdict.
     """
+    if X._cw_report is None:
+        X._cw_report = _verify_cw(X)
+    return X._cw_report
+
+
+def _verify_cw(X):
     findings = []
     seen = set()
     for v in X.vertices:
@@ -569,10 +583,9 @@ def link(X, v):
         b = X.corner_position(cid, v)
         simplex = frozenset(X.edges_at_corner(cid, b))
         induced.setdefault(simplex, []).append(cid)
+    doubled = [(s, cids) for s, cids in induced.items() if len(s) >= 2 and len(cids) > 1]
     bigons = tuple(
-        tuple(sorted(cids))
-        for simplex, cids in sorted(induced.items(), key=lambda kv: name_key(kv[0]))
-        if len(simplex) >= 2 and len(cids) > 1
+        tuple(sorted(cids)) for _s, cids in sorted(doubled, key=lambda kv: name_key(kv[0]))
     )
     sc = SimplicialComplex(induced.keys())
     return LinkResult(v, sc, bigons)
@@ -596,19 +609,19 @@ class SimplicialComplex:
         faces = set()
         for f in maximal_faces:
             f = frozenset(f)
-            if not f:
-                continue
+            if f in faces:
+                continue  # a face already present came with all its subsets
             for r in range(1, len(f) + 1):
-                for sub in combinations(sorted(f, key=name_key), r):
-                    faces.add(frozenset(sub))
+                faces.update(map(frozenset, combinations(f, r)))
         self.faces = frozenset(faces)
+        self.vertices = sorted({v for f in faces for v in f}, key=name_key)
+
+    @cached_property
+    def maximal(self):
         # faces are closed under subsets, so a face lies in a larger one
         # exactly when it is a facet of one
-        covered = {g - {v} for g in faces if len(g) > 1 for v in g}
-        self.maximal = tuple(
-            sorted(faces - covered, key=lambda f: (len(f), name_key(f)))
-        )
-        self.vertices = sorted({v for f in faces for v in f}, key=name_key)
+        covered = {g - {v} for g in self.faces if len(g) > 1 for v in g}
+        return tuple(sorted(self.faces - covered, key=lambda f: (len(f), name_key(f))))
 
     @property
     def dim(self):
@@ -708,14 +721,26 @@ def cubical_subdivision(X):
     for t in X.top_cells():
         cube = X.cells[t]
         k = cube.dim
-        if k == 0:
-            maximal.append((t,))
-            continue
+        # faces of t by (free mask, pinned bits) of their corner positions: the
+        # face with the coordinates outside m pinned to b is table[(m, b & ~m)]
+        where = {v: b for b, v in enumerate(cube.corners)}
+        table = {}
+        for f in X.subcells(t):
+            pos = [where[v] for v in X.cells[f].corners]
+            free = 0
+            for p in pos:
+                free |= p ^ pos[0]
+            if len(pos) != 1 << bin(free).count("1"):
+                continue  # a face of a facet in its own frame, not one of t
+            key = (free, pos[0] & ~free)
+            table[key] = None if key in table else f  # None: doubled, refused below
         for b in range(1 << k):
             arr = []
             for m in range(1 << k):
-                constraints = {j: (b >> j) & 1 for j in range(k) if not (m >> j) & 1}
-                arr.append(X.face_of(t, constraints))
+                f = table.get((m, b & ~m))
+                if f is None:  # raises CellNotFound with face_of's message
+                    X.face_of(t, {j: (b >> j) & 1 for j in range(k) if not (m >> j) & 1})
+                arr.append(f)
             maximal.append(tuple(arr))
     return CubicalComplex.from_maximal_cells(maximal, check=False)
 

@@ -1,7 +1,8 @@
 """Exception vocabulary shared by every module.
 
 All domain errors derive from :class:`CubemillError` so the CLI can map them to
-exit codes uniformly: validation/property failures exit 1, usage errors exit 2.
+exit codes uniformly: validation/property failures and failed internal guards
+(:class:`InternalError`) exit 1, usage errors exit 2.
 """
 
 
@@ -54,6 +55,10 @@ class NotInTile(CubemillError):
 
 class NotABridge(CubemillError):
     """The path is not a bridge for any mirror."""
+
+
+class InternalError(CubemillError):
+    """An internal consistency guard failed; a bug, never a verdict on valid input."""
 
 
 class CarrierViolation(CubemillError):

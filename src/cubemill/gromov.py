@@ -33,7 +33,7 @@ from .complexes import (
     name_key,
     verify_cw,
 )
-from .errors import NotFoldable, UnsupportedDimension
+from .errors import InternalError, NotFoldable, UnsupportedDimension
 from .folding import canonical_barsub_folding, verify_folding, verify_simplicial_folding
 
 MAX_MODEL_DIM = 3
@@ -97,7 +97,7 @@ def assemble(K, labels):
             entry = (tuple(glue(c) for c in co), tuple(glue(f) for f in fa))
             if nm in cells:
                 if cells[nm] != entry:
-                    raise AssertionError(f"gluing collision at {nm!r}")
+                    raise InternalError(f"gluing collision at {nm!r}")
             else:
                 cells[nm] = entry
                 provenance[nm] = s if nm[0] == "i" else nm[1]
@@ -127,7 +127,7 @@ def _sigma_name(name):
     kind = name[0]
     if kind in ("i", "f"):
         return (kind, _swap_chain(name[1]), name[2])
-    raise AssertionError(f"unexpected cell name {name!r}")
+    raise InternalError(f"unexpected cell name {name!r}")
 
 
 def _face_label(name):
@@ -141,17 +141,17 @@ def _extract_half(cells):
     sigma = {nm: _sigma_name(nm) for nm in cells}
     for nm, im in sigma.items():
         if im not in cells:
-            raise AssertionError(f"label swap leaves the complex at {nm!r}")
+            raise InternalError(f"label swap leaves the complex at {nm!r}")
         if sigma[im] != nm:
-            raise AssertionError("label swap is not an involution")
+            raise InternalError("label swap is not an involution")
     for nm, (co, fa) in cells.items():
         co2, fa2 = cells[sigma[nm]]
         if {sigma[c] for c in co} != set(co2) or {sigma[f] for f in fa} != set(fa2):
-            raise AssertionError(f"label swap is not an automorphism at {nm!r}")
+            raise InternalError(f"label swap is not an automorphism at {nm!r}")
     fix = frozenset(nm for nm in cells if sigma[nm] == nm)
     for nm in fix:
         if nm[0] == "i":
-            raise AssertionError("a top-chain cell is fixed by the label swap")
+            raise InternalError("a top-chain cell is fixed by the label swap")
 
     adj = {nm: [] for nm in cells if nm not in fix}
     for nm, nbrs in adj.items():
@@ -165,7 +165,7 @@ def _extract_half(cells):
         if len(co) == 1 and nm not in fix and _face_label(nm) == frozenset({0})
     ]
     if len(seeds) != 1:
-        raise AssertionError(f"expected one vertex over the face {{0}}, got {len(seeds)}")
+        raise InternalError(f"expected one vertex over the face {{0}}, got {len(seeds)}")
     queue = [seeds[0]]
     half = set(queue)
     for nm in queue:
@@ -176,7 +176,7 @@ def _extract_half(cells):
     U = frozenset(half) | fix
     V = frozenset(sigma[nm] for nm in U)
     if U | V != set(cells) or U & V != fix:
-        raise AssertionError("the fixed locus does not halve the complex")
+        raise InternalError("the fixed locus does not halve the complex")
     return sigma, fix, U
 
 

@@ -25,6 +25,7 @@ from .dual import dual_mirror, tops_containing
 from .errors import (
     CarrierViolation,
     CellNotFound,
+    InternalError,
     NoCrossing,
     NonSeparatingMirror,
     NotABridge,
@@ -340,7 +341,7 @@ def _slide_target(D, prev, cur, nxt):
         if sq is not None:
             cands.append((w, sq))
     if not cands:
-        raise AssertionError(
+        raise InternalError(
             f"no dual square raises the local minimum {prev}, {cur}, {nxt}"
         )
     return min(cands)
@@ -378,7 +379,7 @@ def make_efficient(D, p):
     while True:
         guard -= 1
         if guard < 0:
-            raise AssertionError("efficiency sweep failed to terminate")
+            raise InternalError("efficiency sweep failed to terminate")
         p, raised = _raise_minima_once(D, p, moves)
         before = len(p)
         p = _strip_backtracks(p, moves)
@@ -404,7 +405,7 @@ def contract_in_tile(D, p):
     while len(p) > 1:
         guard -= 1
         if guard < 0:
-            raise AssertionError("contraction failed to terminate")
+            raise InternalError("contraction failed to terminate")
         core = p[:-1]
         top = max(h[v] for v in core)
         if h[p[0]] != top:
@@ -462,7 +463,7 @@ def _axes(cube, labels):
         labj = labels[cube.corners[1 << j]]
         diffs = [c for c in range(len(lab0)) if lab0[c] != labj[c]]
         if len(diffs) != 1:
-            raise AssertionError("cube corners disagree in more than one label")
+            raise InternalError("cube corners disagree in more than one label")
         axis_of[diffs[0]] = (j, lab0[diffs[0]])
     return axis_of
 
@@ -509,7 +510,7 @@ def project_bridge(ctx, q, M):
             j, bit0 = axis_of[N.coordinate]
             side = bit0 ^ N.side
             if constraints.setdefault(j, side) != side:
-                raise AssertionError("inconsistent projection constraints")
+                raise InternalError("inconsistent projection constraints")
 
         constraints = {}
         pin(M, constraints)
@@ -520,12 +521,12 @@ def project_bridge(ctx, q, M):
 
     for a, b in zip(image, image[1:]):
         if a != b and not D.adjacent(a, b):
-            raise AssertionError("projection steps are neither equal nor adjacent")
+            raise InternalError("projection steps are neither equal nor adjacent")
     for v in image:
         if v not in dm.vertices:
-            raise AssertionError("projection left the mirror region")
+            raise InternalError("projection left the mirror region")
     if image[0] != q[0] or image[-1] != q[-1]:
-        raise AssertionError("projection moved a bridge endpoint")
+        raise InternalError("projection moved a bridge endpoint")
 
     out = [image[0]]
     for v in image[1:]:
@@ -582,16 +583,16 @@ def _split(ctx, p, M, prof):
     rotated = rotate_loop(p, rot)
     q1 = br.path
     if rotated[: len(q1)] != q1:
-        raise AssertionError("bridge is not a prefix of the rotated loop")
+        raise InternalError("bridge is not a prefix of the rotated loop")
     q2 = rotated[len(q1) - 1 :]
 
     left = q1 + tuple(reversed(projected))[1:]
     right = projected + q2[1:]
 
     if len(left) > len(p) - 2:
-        raise AssertionError("left loop failed to shrink")
+        raise InternalError("left loop failed to shrink")
     if len(right) > len(p) - 2:
-        raise AssertionError("right loop failed to shrink")
+        raise InternalError("right loop failed to shrink")
     return Split(rot, M.index, br.support_index, q1, projected, left, right)
 
 

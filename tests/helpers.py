@@ -1,6 +1,7 @@
 """Cached per-fixture builders shared across test modules."""
 
 from functools import lru_cache
+from itertools import product
 
 from cubemill.dual import build_dual
 from cubemill.fixtures import fixture
@@ -46,4 +47,16 @@ def grid_squares(n):
         (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
         for x in range(n)
         for y in range(n)
+    ]
+
+
+def cube_grid_cells(k):
+    """Corner lists of a k by k by k grid of cubes, in bitmask order."""
+
+    def v(x, y, z):
+        return (k + 1) ** 2 * z + (k + 1) * y + x
+
+    return [
+        tuple(v(x + (b & 1), y + (b >> 1 & 1), z + (b >> 2 & 1)) for b in range(8))
+        for x, y, z in product(range(k), repeat=3)
     ]

@@ -4,9 +4,13 @@ Each function is the earlier, direct reading of its definition: every pair of
 top cells for framings, every pair of listed cells for strict validation, a
 pairwise containment test for the maximal common faces of relaxed
 validation, one corner-set face lookup per coordinate for the edges at a
-corner, every cell's subcells for hyperplane carriers, networkx clique
-enumeration for flagness, and networkx verdicts on the mirror/chamber
-incidence graph. Differential tests compare the library against them.
+corner (or one scan of the cube's subcells), one corner-set face lookup per
+corner of each subdivision cube, closed with every facet array
+canonicalized again, links with every induced simplex sorted and their
+maximal faces by pairwise containment, every cell's subcells for hyperplane
+carriers, networkx clique enumeration for flagness, and networkx verdicts on
+the mirror/chamber incidence graph. Differential tests compare the library
+against them.
 """
 
 from functools import lru_cache
@@ -22,6 +26,7 @@ from cubemill.complexes import (
     face_array,
     name_key,
 )
+from cubemill.errors import CellNotFound
 from cubemill.folding import parallelism_classes
 
 
@@ -99,6 +104,99 @@ def edges_at_corner(X, cid, b):
         constraints = {j: (b >> j) & 1 for j in range(cube.dim) if j != i}
         out.append(X.face_of(cid, constraints))
     return out
+
+
+def edges_at_corner_by_subcells(X, cid, b):
+    cube = X.cell(cid)
+    v = cube.corners[b]
+    ends = {}  # other end -> 1-faces from v to it
+    for f in X.subcells(cid):
+        pair = X.cells[f].corners
+        if len(pair) == 2 and v in pair:
+            ends.setdefault(pair[1] if pair[0] == v else pair[0], []).append(f)
+    out = []
+    for i in range(cube.dim):
+        w = cube.corners[b ^ (1 << i)]
+        matches = ends.get(w, [])
+        if len(matches) != 1:
+            raise CellNotFound(
+                f"cell {cid} has {len(matches)} faces with corners {sorted((v, w))}"
+            )
+        out.append(matches[0])
+    return out
+
+
+def closure_cells(corner_lists):
+    """(cid, corners, facets) of the closure of the lists, in cid order."""
+    canon = {}
+
+    def add(arr):
+        a = canonical_corner_array(arr)
+        if a in canon:
+            return
+        canon[a] = None
+        for i in range(array_dim(a)):
+            for s in (0, 1):
+                add(face_array(a, i, s))
+
+    for arr in corner_lists:
+        add(tuple(arr))
+    order = sorted(canon, key=lambda a: (array_dim(a), a))
+    for cid, a in enumerate(order):
+        canon[a] = cid
+    return [
+        (
+            canon[a],
+            a,
+            tuple(
+                canon[canonical_corner_array(face_array(a, i, s))]
+                for i in range(array_dim(a))
+                for s in (0, 1)
+            ),
+        )
+        for a in order
+    ]
+
+
+def cubical_subdivision(X):
+    """(cid, corners, facets) of every cell of the cubical subdivision."""
+    maximal = []
+    for t in X.top_cells():
+        k = X.cells[t].dim
+        for b in range(1 << k):
+            arr = []
+            for m in range(1 << k):
+                constraints = {j: (b >> j) & 1 for j in range(k) if not (m >> j) & 1}
+                arr.append(X.face_of(t, constraints))
+            maximal.append(tuple(arr))
+    return closure_cells(maximal)
+
+
+def link(X, v):
+    """(faces, maximal faces, vertices, bigons) of the link of ``v``."""
+    induced = {}
+    for cid in X.cells_at_vertex[v]:
+        cube = X.cells[cid]
+        if cube.dim == 0:
+            continue
+        simplex = frozenset(edges_at_corner_by_subcells(X, cid, cube.corners.index(v)))
+        induced.setdefault(simplex, []).append(cid)
+    bigons = tuple(
+        tuple(sorted(cids))
+        for simplex, cids in sorted(induced.items(), key=lambda kv: name_key(kv[0]))
+        if len(simplex) >= 2 and len(cids) > 1
+    )
+    faces = set()
+    for f in induced:
+        for r in range(1, len(f) + 1):
+            for sub in combinations(sorted(f, key=name_key), r):
+                faces.add(frozenset(sub))
+    maximal = sorted(
+        (f for f in faces if not any(f < g for g in faces)),
+        key=lambda f: (len(f), name_key(f)),
+    )
+    vertices = sorted({v for f in faces for v in f}, key=name_key)
+    return frozenset(faces), tuple(maximal), vertices, bigons
 
 
 def hyperplane_carriers(X):

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cubemill
+from cubemill import surgery
 from cubemill.cli import main
 from cubemill.complexes import MAX_BARSUB_FLAGS
 from cubemill.dual import build_dual
@@ -161,6 +162,16 @@ def test_open_path_is_a_bad_loop():
     doc = payload(r)
     assert doc["error"] == "BadLoop"
     assert "only loops contract" in doc["detail"]
+
+
+def test_a_failed_surgery_guard_is_a_report_with_exit_1(monkeypatch):
+    # a projection longer than the bridge leaves the left loop no shorter
+    monkeypatch.setattr(surgery, "project_bridge", lambda ctx, q, M: q + q[::-1][1:] + q[1:])
+    r = run("contract", "--fixture", "grid2", "--loop", "19,7,20,24,17,7,19")
+    assert r.exit_code == 1
+    doc = payload(r)
+    assert doc["error"] == "InternalError"
+    assert "failed to shrink" in doc["detail"]
 
 
 def test_a_9001_vertex_loop_contracts_and_verifies(tmp_path):

@@ -2,10 +2,10 @@ import pytest
 
 from cubemill.complexes import SimplicialComplex, barsub
 from cubemill.curvature import check_npc
-from cubemill.errors import NotFoldable, UnsupportedDimension
+from cubemill.errors import InternalError, NotFoldable, UnsupportedDimension
 from cubemill.fixtures import cone4, fixture, two_triangles
 from cubemill.folding import canonical_barsub_folding, verify_folding
-from cubemill.gromov import gromov_hyperbolize, model, verify_gromov_properties
+from cubemill.gromov import _extract_half, gromov_hyperbolize, model, verify_gromov_properties
 
 
 # ---------------------------------------------------------------------------
@@ -138,3 +138,12 @@ def test_provenance_distinguishes_interior_and_strata():
     assert kinds == {"interior", "stratum"}
     for cid, (kind, face) in r.provenance.items():
         assert face in r.source.faces or kind == "interior"
+
+
+def test_a_failed_model_guard_is_an_internal_error():
+    # swapping labels 0 and 1 sends the first vertex to a name not in the dict
+    a = ("f", frozenset({frozenset({0})}), 0)
+    b = ("f", frozenset({frozenset({2})}), 0)
+    cells = {a: ((a,), ()), b: ((b,), ())}
+    with pytest.raises(InternalError, match="label swap leaves the complex"):
+        _extract_half(cells)

@@ -1,9 +1,10 @@
 """Local incidence scans against the all-pairs definitions they replace.
 
 Framings, strict validation, the maximal common faces of relaxed validation,
-the edges at a cube corner and hyperplane carriers are found from vertex and
-coface incidence; ``reference`` keeps the direct definitions. Outputs must
-agree in full, order included.
+the edges at a cube corner, links, the cubical subdivision and hyperplane
+carriers are found from vertex, corner-pair, coface and per-cell face
+indexes; ``reference`` keeps the direct definitions. Outputs must agree in
+full, order included.
 """
 
 import random
@@ -11,13 +12,16 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference
+from cubemill import complexes
 from cubemill.complexes import (
     CubicalComplex,
     array_dim,
+    cubical_subdivision,
     face_array,
+    link,
     validate_cubical,
     verify_cw,
 )
@@ -28,7 +32,7 @@ from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, stri
 from cubemill.folding import find_folding, framings, mirror_separates, mirrors
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
-from helpers import grid_squares
+from helpers import cube_grid_cells, grid_squares
 
 CASES = (
     *FIXTURE_NAMES,
@@ -36,6 +40,7 @@ CASES = (
     "gromov_boundary3",
     "strip8",
     "grid6x6",
+    "cubes3x3x3",
 )
 
 
@@ -48,7 +53,11 @@ def case(name):
     if name.startswith("gromov_boundary"):
         r = gromov_hyperbolize(boundary_complex(int(name[-1])))
         return r.complex, r.folding
-    X = strip(8) if name == "strip8" else CubicalComplex.from_maximal_cells(grid_squares(6))
+    if name == "strip8":
+        X = strip(8)
+    else:
+        cells = grid_squares(6) if name == "grid6x6" else cube_grid_cells(3)
+        X = CubicalComplex.from_maximal_cells(cells)
     return X, find_folding(X)
 
 
@@ -178,7 +187,20 @@ def _glued_by_corner_sets(lists):
 @pytest.mark.parametrize("name", CASES)
 def test_relaxed_validation_matches_the_pairwise_definition(name):
     X, _labels = case(name)
-    assert verify_cw(X) == reference.verify_cw(X)
+    got = verify_cw(X)
+    assert got == reference.verify_cw(X)
+    assert verify_cw(X) is got  # the verdict is kept on the complex
+
+
+def test_build_dual_reuses_the_admissibility_verdict(monkeypatch):
+    X = CubicalComplex.from_maximal_cells(grid_squares(3))
+    scans = []
+    scan = complexes._verify_cw
+    monkeypatch.setattr(complexes, "_verify_cw", lambda X: scans.append(X) or scan(X))
+    got = verify_cw(X)
+    build_dual(X)
+    assert verify_cw(X) is got
+    assert scans == [X]
 
 
 def test_relaxed_validation_matches_on_the_doubled_square():
@@ -206,9 +228,8 @@ def test_edges_at_corner_match_face_lookups(name):
             assert X.edges_at_corner(cid, b) == reference.edges_at_corner(X, cid, b)
 
 
-def _cube_with_a_doubled_edge():
-    """A solid 3-cube in which two of its squares hold different edges with
-    the same two corners, so the cube has two such edges."""
+def _named_cube():
+    """The cells of a solid 3-cube, named ``("c", free axes, base corner)``."""
     named = {}
     for free in range(8):
         axes = [a for a in range(3) if free >> a & 1]
@@ -221,6 +242,13 @@ def _cube_with_a_doubled_edge():
                 corners.append(("c", 0, v))
             facets = [("c", free & ~(1 << a), base | s << a) for a in axes for s in (0, 1)]
             named[("c", free, base)] = (tuple(corners), tuple(facets))
+    return named
+
+
+def _cube_with_a_doubled_edge():
+    """A solid 3-cube in which two of its squares hold different edges with
+    the same two corners, so the cube has two such edges."""
+    named = _named_cube()
     # the square {x, y} at z = 0 takes a twin of its edge along x at y = 0
     named[("twin",)] = named[("c", 1, 0)]
     square = ("c", 3, 0)
@@ -244,6 +272,98 @@ def test_edges_at_corner_refuses_a_doubled_edge_like_face_of():
         else:
             assert X.edges_at_corner(cube, b) == want
     assert refused == 2  # the two ends of the doubled edge
+
+
+def _cube_with_twisted_facets():
+    """A solid 3-cube whose two squares at its edge {0, 1} take their own
+    frames, in which {0, 1} is a diagonal. That edge stays in the complex,
+    outside the cube, so the cube's edge there is no subcell while one edge
+    with its corners exists."""
+    named = _named_cube()
+
+    def c(v):
+        return ("c", 0, v)
+
+    for a in (1, 2):  # the squares {0, 1, 2, 3} and {0, 1, 4, 5}
+        b = 1 << a
+        named[("d", 0, b + 1)] = ((c(0), c(b + 1)), (c(0), c(b + 1)))
+        named[("d", 1, b)] = ((c(1), c(b)), (c(1), c(b)))
+        named[("c", 1 | b, 0)] = (
+            (c(0), c(b), c(b + 1), c(1)),
+            (("d", 0, b + 1), ("d", 1, b), ("c", b, 0), ("c", b, 1)),
+        )
+    return CubicalComplex.from_named_cells(named)
+
+
+def test_edges_at_corner_and_links_on_twisted_facets():
+    X = _cube_with_twisted_facets()
+    (cube,) = X.by_dim[3]
+    outcomes = [_outcome(X.edges_at_corner, cube, b) for b in range(8)]
+    assert outcomes == [
+        _outcome(reference.edges_at_corner_by_subcells, X, cube, b) for b in range(8)
+    ]
+    assert sum(isinstance(o, str) for o in outcomes) == 2  # the ends of {0, 1}
+    _assert_subdivision_and_links_match(X)
+
+
+def _cells(X):
+    return [(c.cid, c.corners, c.facets) for c in (X.cells[i] for i in range(len(X.cells)))]
+
+
+def _link(X, v):
+    lk = link(X, v)
+    return lk.complex.faces, lk.complex.maximal, lk.complex.vertices, lk.bigons
+
+
+def _outcome(fn, *args):
+    """The value, or the message of the CellNotFound raised instead."""
+    try:
+        return fn(*args)
+    except CellNotFound as e:
+        return str(e)
+
+
+def _assert_subdivision_and_links_match(X):
+    S = _outcome(cubical_subdivision, X)
+    got = _cells(S) if isinstance(S, CubicalComplex) else S
+    assert got == _outcome(reference.cubical_subdivision, X)
+    for Y in (X, S) if isinstance(S, CubicalComplex) else (X,):
+        for v in Y.vertices:
+            assert _outcome(_link, Y, v) == _outcome(reference.link, Y, v), v
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_subdivision_and_links_match_face_lookups(name):
+    _assert_subdivision_and_links_match(case(name)[0])
+
+
+def test_fixtures_with_doubled_edges_take_the_subcell_fallback():
+    # edges sharing a corner pair are told apart by the cube's subcells
+    doubled = {
+        name: sum(len(es) > 1 for es in fixture(name).complex._edges_at_pair.values())
+        for name in FIXTURE_NAMES
+    }
+    assert {name: n for name, n in doubled.items() if n} == {"gdelta2": 4, "sphere": 96}
+
+
+@settings(max_examples=200)
+@given(corner_list_families())
+# cubes on one corner set in different frames, glued along equal corner sets:
+# some facets take their own frame, and some cube edges are no subcells
+@example([(0, 4, 1, 2, 6, 3, 7, 5), (0, 4, 2, 1, 3, 6, 7, 5), (2, 3, 7, 0, 4, 5, 1, 6)])
+def test_subdivision_and_links_match_on_random_families(lists):
+    lists = [arr for arr in lists if len(set(arr)) == len(arr)]
+    assume(lists)
+    _assert_subdivision_and_links_match(_glued_by_corner_sets(lists))
+
+
+def test_subdivision_refuses_a_doubled_edge_like_face_of():
+    X = _cube_with_a_doubled_edge()
+    with pytest.raises(CellNotFound) as want:
+        reference.cubical_subdivision(X)
+    with pytest.raises(CellNotFound) as got:
+        cubical_subdivision(X)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", CASES)

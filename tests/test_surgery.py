@@ -1,7 +1,6 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import product
 
 import networkx as nx
 import pytest
@@ -15,7 +14,7 @@ from cubemill.errors import (
     NotInTile,
     Unsupported,
 )
-from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
+from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names, strip
 from cubemill.dual import build_dual, dual_mirror, tops_containing
 from cubemill.folding import find_folding
 from cubemill.formats import parse_certificate, serialize_certificate
@@ -41,7 +40,7 @@ from cubemill.surgery import (
     surgery_step,
     verify_certificate,
 )
-from helpers import deep_certificate_text, dual_of, grid_squares, mirror_list
+from helpers import cube_grid_cells, deep_certificate_text, dual_of, grid_squares, mirror_list
 
 
 def _ctx(name):
@@ -525,34 +524,26 @@ def test_torus_meridian_is_refused_on_every_call():
         assert type(refused.value) is Unsupported
 
 
-def _cube_grid_cells(k):
-    def v(x, y, z):
-        return (k + 1) ** 2 * z + (k + 1) * y + x
-
-    return [
-        tuple(v(x + (b & 1), y + (b >> 1 & 1), z + (b >> 2 & 1)) for b in range(8))
-        for x, y, z in product(range(k), repeat=3)
-    ]
+_LARGER = {
+    "grid6x6": lambda: CubicalComplex.from_maximal_cells(grid_squares(6)),
+    "cubes3x3x3": lambda: CubicalComplex.from_maximal_cells(cube_grid_cells(3)),
+    "strip8": lambda: strip(8),
+}
 
 
 # SHA-256 of the 300 certificate texts in order; a change means the
 # certificates changed, not only the code that finds them
 @pytest.mark.parametrize(
-    "cells, digest",
+    "name, digest",
     [
-        (
-            grid_squares(6),
-            "3acc2dfcad9b7eccc45965691eaab3451344d739b3754b7b14520046e7905a28",
-        ),
-        (
-            _cube_grid_cells(3),
-            "e85127280c74afab19be066d0b2cd1b8a9f50fd1a4b746e38f0132db79a304ac",
-        ),
+        ("grid6x6", "3acc2dfcad9b7eccc45965691eaab3451344d739b3754b7b14520046e7905a28"),
+        ("cubes3x3x3", "e85127280c74afab19be066d0b2cd1b8a9f50fd1a4b746e38f0132db79a304ac"),
+        ("strip8", "ab7184c0c821ab9564c86d82c0b8bb877c4f3a194c449d829f529630865b2d18"),
     ],
-    ids=["grid6x6", "cubes3x3x3"],
+    ids=list(_LARGER),
 )
-def test_contraction_fuzz_on_larger_complexes(cells, digest):
-    X = CubicalComplex.from_maximal_cells(cells)
+def test_contraction_fuzz_on_larger_complexes(name, digest):
+    X = _LARGER[name]()
     labels = find_folding(X)
     D = build_dual(X)
     rng = random.Random(20261018)
@@ -562,6 +553,7 @@ def test_contraction_fuzz_on_larger_complexes(cells, digest):
         p = random_loop(D, rng, max_len=16)
         cert = contract_loop(D, p, labels)
         assert verify_certificate(D, p, cert), p
+        assert oracle.null_homotopic(name, D, p), p
         splits += isinstance(cert, Split)
         h.update(serialize_certificate(cert).encode())
     assert splits > 0
