@@ -18,10 +18,11 @@ are in ``(coordinate, side)`` order: ``facets[2*i + s]`` is the face where
 coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 
 from .errors import CellNotFound, FormatError, NotAdmissible, NotASubdivision, Unsupported
 
@@ -65,9 +66,21 @@ def array_dim(arr):
     return k
 
 
+# readers of the corners of the facet ``coordinate i = side s`` of a cube
+# with n corners, keyed by (n, i, s)
+_FACE_POSITIONS = {}
+
+
 def face_array(arr, i, s):
     """Corner array of the facet ``coordinate i = side s``, bitmask order kept."""
-    return tuple(a for b, a in enumerate(arr) if (b >> i) & 1 == s)
+    key = (len(arr), i, s)
+    get = _FACE_POSITIONS.get(key)
+    if get is None:
+        pos = [b for b in range(len(arr)) if (b >> i) & 1 == s]
+        # itemgetter of one position returns the item, not a 1-tuple
+        get = itemgetter(*pos) if len(pos) > 1 else lambda a: tuple(a[b] for b in pos)
+        _FACE_POSITIONS[key] = get
+    return get(arr)
 
 
 def _canonical_frame(arr):
@@ -139,7 +152,7 @@ def _is_face(arr, corners):
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str  # RepeatedCorner | NonFaceIntersection
+    kind: str  # RepeatedCorner | NonFaceIntersection | TwistedFacetFrame
     cells: tuple
     detail: str
 
@@ -247,10 +260,11 @@ class Cube:
     cid: int
     corners: tuple  # vertex ids, bitmask position order, canonical
     facets: tuple  # cell ids, (coordinate, side) order
+    # read on every cell visit, so stored once rather than recomputed
+    dim: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self):
-        return len(self.corners).bit_length() - 1
+    def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.corners).bit_length() - 1)
 
 
 class CubicalComplex:
@@ -335,10 +349,10 @@ class CubicalComplex:
     # -- indexes ---------------------------------------------------------
 
     def _check_local_structure(self):
-        # Whether every facet's own frame gives it the edges its cube's frame
-        # does; then each edge of a cube is a subcell. Only cw input can
-        # disagree (a square facet taken with its diagonals swapped).
-        self._frames_agree = True
+        # The cubes some facet of which takes a frame whose edges are not the
+        # cube's; with none, each edge of a cube is a subcell. Only cw input
+        # can have them (a square facet taken with its diagonals swapped).
+        twisted = []
         for c in self.cells.values():
             k = c.dim
             if len(set(c.corners)) != len(c.corners):
@@ -356,14 +370,16 @@ class CubicalComplex:
                         raise ValueError(
                             f"cube {c.cid} facet ({i},{s}) corners disagree"
                         )
-            if k > 2 and self._frames_agree:
+            if k > 2:
                 where = {v: b for b, v in enumerate(c.corners)}
                 axes = {1 << i for i in range(k)}
                 pos = [[where[v] for v in self.cells[f].corners] for f in c.facets]
-                self._frames_agree = all(
+                if not all(
                     (q[p] ^ q[p ^ (1 << j)]) in axes
                     for q in pos for p in range(len(q)) for j in range(k - 1)
-                )
+                ):
+                    twisted.append(c.cid)
+        self._twisted = tuple(sorted(twisted))
 
     def _index(self):
         self.by_dim = {}
@@ -389,6 +405,7 @@ class CubicalComplex:
             self._edges_at_pair.setdefault(tuple(sorted(self.cells[e].corners)), []).append(e)
         self._subcells = {}
         self._cw_report = None  # verify_cw's verdict, computed on first request
+        self._top_adjacency = None  # built by top_adjacency on first request
 
     # -- basic queries ----------------------------------------------------
 
@@ -423,6 +440,22 @@ class CubicalComplex:
             if len(tops) != 2:
                 return False
         return True
+
+    def top_adjacency(self):
+        """Top cell -> (codimension-1 cell, neighbouring top cell) pairs, kept.
+
+        Keys are every top cell in ascending order. Two top cells neighbour
+        through each codimension-1 face they share; a face of three top cells
+        gives each of them two pairs.
+        """
+        if self._top_adjacency is None:
+            adj = {t: [] for t in self.top_cells()}
+            for c in self.by_dim.get(self.dim - 1, []):
+                holders = [p for (p, _, _) in self.cofaces[c] if p in adj]
+                for a in holders:
+                    adj[a].extend((c, b) for b in holders if b != a)
+            self._top_adjacency = adj
+        return self._top_adjacency
 
     def subcells(self, cid):
         """All faces of a cell, itself included, as a frozenset of cell ids."""
@@ -488,7 +521,7 @@ class CubicalComplex:
         for i in range(cube.dim):
             w = cube.corners[b ^ (1 << i)]
             matches = self._edges_at_pair.get((v, w) if v < w else (w, v), [])
-            if len(matches) > 1 or not self._frames_agree:
+            if len(matches) > 1 or self._twisted:
                 matches = [e for e in matches if e in self.subcells(cid)]
             if len(matches) != 1:
                 raise CellNotFound(
@@ -505,10 +538,11 @@ class CubicalComplex:
 def verify_cw(X):
     """Check the relaxed admissibility level on a cell-identity complex.
 
-    Every cube must be embedded (checked at construction) and every pair of
-    cells must intersect in a union of pairwise vertex-disjoint common faces:
-    the maximal common faces are vertex-disjoint and their corners cover the
-    corner-set intersection. The complex is immutable, so the report is kept
+    Every cube must be embedded (checked at construction), the edges of each
+    facet in its own frame must be edges of its cube (else a
+    TwistedFacetFrame finding), and every pair of cells must intersect in a
+    union of pairwise vertex-disjoint common faces: the maximal common faces
+    are vertex-disjoint and their corners cover the corner-set intersection. The complex is immutable, so the report is kept
     on it and a second call returns the first verdict.
     """
     if X._cw_report is None:
@@ -517,7 +551,8 @@ def verify_cw(X):
 
 
 def _verify_cw(X):
-    findings = []
+    twisted = "a facet takes its own frame, in which an edge is a diagonal of the cube"
+    findings = [Finding("TwistedFacetFrame", (c,), twisted) for c in X._twisted]
     seen = set()
     for v in X.vertices:
         at = X.cells_at_vertex[v]

@@ -348,20 +348,24 @@ def chambers_avoiding(X, cut):
     Chambers are the components of the top-cube adjacency graph in which two
     top cells are adjacent when they share a codimension-1 face outside
     ``cut``. Each chamber is a sorted tuple of top cell ids; chambers are
-    ordered by their least top cell.
+    ordered by their least top cell. The adjacency is built once per complex
+    (``CubicalComplex.top_adjacency``) and each cut is one search over it.
     """
-    tops = X.top_cells()
-    dsu = _DSU(tops)
-    for cid in X.by_dim.get(X.dim - 1, []):
-        if cid in cut:
+    adj = X.top_adjacency()
+    seen = set()
+    out = []
+    for start in adj:  # ascending, so each chamber starts at its least top cell
+        if start in seen:
             continue
-        holder = [p for (p, _, _) in X.cofaces[cid] if not X.cofaces[p]]
-        for other in holder[1:]:
-            dsu.union(holder[0], other)
-    grouped = {}
-    for t in tops:
-        grouped.setdefault(dsu.find(t), []).append(t)
-    return tuple(tuple(grouped[root]) for root in sorted(grouped))
+        seen.add(start)
+        chamber = [start]
+        for t in chamber:
+            for c, u in adj[t]:
+                if u not in seen and c not in cut:
+                    seen.add(u)
+                    chamber.append(u)
+        out.append(tuple(sorted(chamber)))
+    return tuple(out)
 
 
 def mirror_separates(X, M):

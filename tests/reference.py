@@ -8,9 +8,11 @@ corner (or one scan of the cube's subcells), one corner-set face lookup per
 corner of each subdivision cube, closed with every facet array
 canonicalized again, links with every induced simplex sorted and their
 maximal faces by pairwise containment, every cell's subcells for hyperplane
-carriers, networkx clique enumeration for flagness, and networkx verdicts on
-the mirror/chamber incidence graph. Differential tests compare the library
-against them.
+carriers, networkx clique enumeration for flagness, networkx verdicts on
+the mirror/chamber incidence graph, one union-find pass over every
+codimension-1 cell per cut for chambers, and the sublinks of every dual
+vertex checked for flagness. Differential tests compare the library against
+them.
 """
 
 from functools import lru_cache
@@ -19,15 +21,20 @@ from itertools import combinations
 import networkx as nx
 
 from cubemill.complexes import (
+    CheckReport,
     Finding,
+    SimplicialComplex,
     ValidationReport,
     array_dim,
     canonical_corner_array,
     face_array,
+    link as library_link,
     name_key,
 )
+from cubemill.curvature import is_flag as library_is_flag
+from cubemill.dual import _verdict
 from cubemill.errors import CellNotFound
-from cubemill.folding import parallelism_classes
+from cubemill.folding import _DSU, parallelism_classes
 
 
 def framings(X, M):
@@ -213,8 +220,28 @@ def hyperplane_carriers(X):
     return out
 
 
+def _edge_pairs(arr):
+    """The corner pairs of the edges of a cube in the frame of ``arr``."""
+    return {
+        frozenset((arr[b], arr[b ^ (1 << i)]))
+        for b in range(len(arr))
+        for i in range(array_dim(arr))
+    }
+
+
 def verify_cw(X):
-    findings = []
+    findings = [
+        Finding(
+            "TwistedFacetFrame",
+            (c,),
+            "a facet takes its own frame, in which an edge is a diagonal of the cube",
+        )
+        for c in sorted(X.cells)
+        if any(
+            not _edge_pairs(X.cells[f].corners) <= _edge_pairs(X.cells[c].corners)
+            for f in X.cells[c].facets
+        )
+    ]
     seen = set()
     for v in X.vertices:
         at = X.cells_at_vertex[v]
@@ -284,3 +311,99 @@ def tree_verdicts(t):
     if not g.number_of_nodes():
         return True, True, True
     return nx.is_connected(g), nx.is_forest(g), all(d >= 2 for _n, d in g.degree)
+
+
+def chambers_avoiding(X, cut):
+    tops = X.top_cells()
+    dsu = _DSU(tops)
+    for cid in X.by_dim.get(X.dim - 1, []):
+        if cid in cut:
+            continue
+        holder = [p for (p, _, _) in X.cofaces[cid] if not X.cofaces[p]]
+        for other in holder[1:]:
+            dsu.union(holder[0], other)
+    grouped = {}
+    for t in tops:
+        grouped.setdefault(dsu.find(t), []).append(t)
+    return tuple(tuple(grouped[root]) for root in sorted(grouped))
+
+
+def verify_dual_axioms(D):
+    X = D.complex
+    h = D.heights
+    checks = []
+
+    bad = [
+        cube.cid
+        for cube in X.cells.values()
+        if cube.dim == 1 and abs(h[cube.corners[0]] - h[cube.corners[1]]) != 1
+    ]
+    checks.append(_verdict("edge-heights", bad))
+
+    bad = []
+    for cube in X.cells.values():
+        if cube.dim != 2:
+            continue
+        c = cube.corners
+        d1 = sorted((h[c[0]], h[c[3]]))
+        d2 = sorted((h[c[1]], h[c[2]]))
+        flat, split = (d1, d2) if d1[0] == d1[1] else (d2, d1)
+        if flat[0] != flat[1] or split != [flat[0] - 1, flat[0] + 1]:
+            bad.append(cube.cid)
+    checks.append(_verdict("square-heights", bad))
+
+    bad = []
+    for cube in X.cells.values():
+        k = cube.dim
+        low = min(h[u] for u in cube.corners)
+        high = max(h[u] for u in cube.corners)
+        lows = [v for v in cube.corners if h[v] == low]
+        highs = [v for v in cube.corners if h[v] == high]
+        if len(lows) != 1 or len(highs) != 1:
+            bad.append(cube.cid)
+            continue
+        lo, hi = lows[0], highs[0]
+        if h[hi] - h[lo] != k:
+            bad.append(cube.cid)
+            continue
+        sub_hi = D.source.subcells(hi)
+        for v in cube.corners:
+            if v not in sub_hi or lo not in D.source.subcells(v):
+                bad.append(cube.cid)
+                break
+    checks.append(_verdict("cube-intervals", bad))
+
+    bad_links = []
+    bad_sublinks = []
+    for v in sorted(X.vertices):
+        lk = library_link(X, v)
+        if lk.bigons:
+            bad_links.append(v)
+            continue
+        flag_ok, _w = library_is_flag(lk.complex)
+        if not flag_ok:
+            bad_links.append(v)
+        up = {e for e in lk.complex.vertices if max(h[w] for w in X.cells[e].corners) > h[v]}
+        down = {e for e in lk.complex.vertices if e not in up}
+        for side in (up, down):
+            sub = [f for f in lk.complex.faces if f <= side]
+            if sub and not library_is_flag(SimplicialComplex(sub))[0]:
+                bad_sublinks.append(v)
+                break
+    checks.append(_verdict("links-flag", bad_links))
+    checks.append(_verdict("sublinks-flag", bad_sublinks))
+
+    adj = D.skeleton()
+    bad = []
+    for w in sorted(X.vertices):
+        down_w = [u for u in adj[w] if h[u] == h[w] - 1]
+        for i in range(len(down_w)):
+            for j in range(i + 1, len(down_w)):
+                a, b = down_w[i], down_w[j]
+                commons = [u for u in adj[a].keys() & adj[b] if h[u] == h[w] - 2]
+                for u in commons:
+                    if D.square_by_corners({u, a, b, w}) is None:
+                        bad.append((u, a, b, w))
+    checks.append(_verdict("interval-complete", bad))
+
+    return CheckReport(tuple(checks))

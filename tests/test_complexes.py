@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cubemill.complexes import (
+    Cube,
     CubicalComplex,
     SimplicialComplex,
     barsub,
@@ -180,6 +182,29 @@ def test_subcells_and_face_of():
     assert X.cells[v].dim == 0
     e = X.face_of(top, {0: 1, 1: 0})
     assert X.cells[e].dim == 1
+
+
+def test_cube_dim_is_stored_outside_identity():
+    sq = Cube(4, (0, 1, 2, 3), (0, 1, 2, 3))  # positional, as before
+    assert sq.dim == 2 and Cube(0, (5,), ()).dim == 0
+    assert repr(sq) == "Cube(cid=4, corners=(0, 1, 2, 3), facets=(0, 1, 2, 3))"
+    assert sq == Cube(4, (0, 1, 2, 3), (0, 1, 2, 3))
+    assert sq != Cube(4, (0, 1, 2, 3), (0, 1, 3, 2))
+    assert hash(sq) == hash((4, (0, 1, 2, 3), (0, 1, 2, 3)))
+    edge = dataclasses.replace(sq, corners=(0, 1), facets=(0, 1))
+    assert edge.dim == 1 and edge == Cube(4, (0, 1), (0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sq.dim = 3
+
+
+def test_face_array_reads_positions_per_size():
+    arr = tuple(range(10, 18))
+    for i in range(3):
+        for s in (0, 1):
+            want = tuple(a for b, a in enumerate(arr) if (b >> i) & 1 == s)
+            assert face_array(arr, i, s) == want
+            assert face_array(list(arr), i, s) == want  # any sequence
+    assert face_array((7, 9), 0, 1) == (9,)
 
 
 def test_face_of_out_of_range_constraint():

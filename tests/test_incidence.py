@@ -1,21 +1,26 @@
 """Local incidence scans against the all-pairs definitions they replace.
 
 Framings, strict validation, the maximal common faces of relaxed validation,
-the edges at a cube corner, links, the cubical subdivision and hyperplane
-carriers are found from vertex, corner-pair, coface and per-cell face
-indexes; ``reference`` keeps the direct definitions. Outputs must agree in
-full, order included.
+the edges at a cube corner, links, the cubical subdivision, hyperplane
+carriers and chambers are found from vertex, corner-pair, coface, per-cell
+face and top-adjacency indexes, and the dual axioms check sublinks only under
+links that are not flag; ``reference`` keeps the direct definitions. Outputs
+must agree in full, order included.
 """
 
+import json
 import random
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference
-from cubemill import complexes
+from cubemill import complexes, formats
+from cubemill.cli import main
 from cubemill.complexes import (
     CubicalComplex,
     array_dim,
@@ -26,10 +31,16 @@ from cubemill.complexes import (
     verify_cw,
 )
 from cubemill.curvature import hyperplanes
-from cubemill.dual import build_dual
-from cubemill.errors import CellNotFound
+from cubemill.dual import DualComplex, build_dual, verify_dual_axioms
+from cubemill.errors import CellNotFound, NotAdmissible
 from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, strip
-from cubemill.folding import find_folding, framings, mirror_separates, mirrors
+from cubemill.folding import (
+    chambers_avoiding,
+    find_folding,
+    framings,
+    mirror_separates,
+    mirrors,
+)
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
 from helpers import cube_grid_cells, grid_squares
@@ -306,6 +317,35 @@ def test_edges_at_corner_and_links_on_twisted_facets():
     _assert_subdivision_and_links_match(X)
 
 
+TWISTED_CUBE = Path(__file__).parent / "data" / "twisted_cube.json"
+
+
+def test_twisted_facet_frames_are_a_relaxed_validation_finding():
+    X = _cube_with_twisted_facets()
+    (cube,) = X.by_dim[3]
+    got = verify_cw(X)
+    assert [(f.kind, f.cells) for f in got.findings] == [("TwistedFacetFrame", (cube,))]
+    assert got == reference.verify_cw(X)
+    with pytest.raises(NotAdmissible):
+        build_dual(X)
+
+
+def test_cli_refuses_the_dual_of_twisted_facet_frames(tmp_path):
+    text = formats.serialize_complex(_cube_with_twisted_facets())
+    assert TWISTED_CUBE.read_text() == text  # the file the console-script check reads
+    path = tmp_path / "twisted.json"
+    path.write_text(text)
+    runner = CliRunner()
+    r = runner.invoke(main, ["validate", "--in", str(path)], catch_exceptions=False)
+    assert r.exit_code == 1
+    doc = json.loads(r.output)
+    assert doc["ok"] is False
+    assert [f["kind"] for f in doc["findings"]] == ["TwistedFacetFrame"]
+    r = runner.invoke(main, ["dual", "--in", str(path)], catch_exceptions=False)
+    assert r.exit_code == 1
+    assert json.loads(r.output)["error"] == "NotAdmissible"
+
+
 def _cells(X):
     return [(c.cid, c.corners, c.facets) for c in (X.cells[i] for i in range(len(X.cells)))]
 
@@ -388,3 +428,84 @@ def test_every_mirror_of_a_32_by_32_grid_separates():
     assert sorted(counts) == [0] * 4 + [5 * n - 2] * (2 * (n - 1))
     ctx = surgery_context(build_dual(X), labels)
     assert ctx.refusal is None and len(ctx.mirrors) == len(ms) == 2 * (n + 1)
+
+
+def _cuts(name):
+    """Cuts of a case: each mirror's cells, the union of each coordinate's
+    mirrors, the empty cut and a seeded random set of codimension-1 cells."""
+    X, _labels = case(name)
+    ms = case_mirrors(name)
+    cuts = [M.cells for M in ms]
+    for i in range(X.dim):
+        cuts.append(frozenset().union(*(M.cells for M in ms if M.coordinate == i)))
+    cuts.append(frozenset())
+    codim1 = X.by_dim.get(X.dim - 1, [])
+    rng = random.Random(name)
+    cuts.append(frozenset(rng.sample(codim1, len(codim1) // 3)))
+    return cuts
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_chambers_match_the_union_find_definition(name):
+    X, _labels = case(name)
+    for cut in _cuts(name):
+        want = reference.chambers_avoiding(X, cut)
+        assert chambers_avoiding(X, cut) == want, name
+        assert chambers_avoiding(X, cut) == want, name  # from the kept adjacency
+
+
+def test_book_spine_joins_three_pages():
+    # the spine edge of book3 has three top cofaces; each page neighbours
+    # the other two through it
+    X, _labels = case("book3")
+    spine = [c for c in X.by_dim[1] if len(X.cofaces[c]) == 3]
+    assert len(spine) == 1
+    adj = X.top_adjacency()
+    assert X.top_adjacency() is adj
+    for p, _i, _s in X.cofaces[spine[0]]:
+        assert sorted(u for c, u in adj[p] if c == spine[0]) == sorted(
+            q for q, _i, _s in X.cofaces[spine[0]] if q != p
+        )
+    assert len(chambers_avoiding(X, {spine[0]})) == 3
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dual_axioms_match_the_definition(name):
+    D = build_dual(case(name)[0])
+    assert verify_dual_axioms(D) == reference.verify_dual_axioms(D)
+
+
+def _cube_boundary_dual(heights):
+    """The 2-skeleton of a 3-cube as a dual complex, vertex v at heights[v].
+
+    Every vertex link is a hollow triangle, so no link is flag, and the
+    sublinks are checked under each of them.
+    """
+    squares = []
+    for axis in range(3):
+        for side in (0, 1):
+            free = [a for a in range(3) if a != axis]
+            base = side << axis
+            squares.append(
+                tuple(base | (m & 1) << free[0] | (m >> 1) << free[1] for m in range(4))
+            )
+    X = CubicalComplex.from_maximal_cells(squares)
+    return DualComplex(X, X, {v: heights[v] for v in X.vertices})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dual_axioms_match_on_links_that_are_not_flag(seed):
+    if seed == 0:
+        heights = [bin(v).count("1") for v in range(8)]
+    else:
+        rng = random.Random(seed)
+        heights = [rng.randrange(3) for _ in range(8)]
+    D = _cube_boundary_dual(heights)
+    got = verify_dual_axioms(D)
+    assert got == reference.verify_dual_axioms(D)
+    checks = {n: (status, d) for n, status, d in got.checks}
+    assert checks["links-flag"][0] == "fail"
+    if seed == 0:
+        # the bottom and top corners see three edges up (down): a hollow
+        # triangle; the other six see two and one, both flag
+        assert checks["sublinks-flag"] == ("fail", "2 violations, first [0, 7]")
