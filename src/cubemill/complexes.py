@@ -20,7 +20,7 @@ coordinate ``i`` equals ``s``. Vertex ids are opaque integers.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial
 from operator import itemgetter
 
@@ -194,6 +194,31 @@ class CheckReport:
         }
 
 
+def _pairs_sharing_two_corners(at_vertex, corners):
+    """The pairs ``(a, b)``, ``a < b``, of cells that share at least two corners.
+
+    ``at_vertex`` maps each vertex to the ascending ids of the cells at it and
+    ``corners`` maps a cell id to its distinct corners. Two cells that meet in
+    one corner have its 0-cell as their only common face, so neither
+    validator can fail them. Pairs come once each, ordered by their least
+    shared corner and then by ``(a, b)``: at each vertex ``v`` the cells are
+    grouped by each of their corners above ``v``.
+    """
+    seen = set()
+    for v in sorted(at_vertex):
+        groups = {}
+        for c in at_vertex[v]:
+            for w in corners[c]:
+                if w > v:
+                    groups.setdefault(w, []).append(c)
+        new = set()
+        for group in groups.values():
+            new.update(combinations(group, 2))
+        new -= seen
+        seen |= new
+        yield from sorted(new)
+
+
 def validate_cubical(corner_lists):
     """Check a family of corner lists at the strict admissibility level.
 
@@ -226,20 +251,17 @@ def validate_cubical(corner_lists):
                 )
             )
 
-    # single-common-face test on the pairs that share a corner; faces of the
-    # listed cells inherit it
+    # single-common-face test on the pairs that share two corners; faces of
+    # the listed cells inherit it
     at_corner = {}
     for idx, canon in clean.items():
         for v in canon:
             at_corner.setdefault(v, []).append(idx)
-    pairs = set()
-    for idxs in at_corner.values():
-        pairs.update(combinations(idxs, 2))
-    for a, b in sorted(pairs):
+    for a, b in sorted(_pairs_sharing_two_corners(at_corner, clean)):
         A, B = clean[a], clean[b]
         if A == B:
             continue  # already reported as a duplicate pair
-        inter = frozenset(A) & frozenset(B)  # nonempty: the pair shares a corner
+        inter = frozenset(A) & frozenset(B)
         if not (_is_face(A, inter) and _is_face(B, inter)):
             findings.append(
                 Finding(
@@ -283,7 +305,10 @@ class CubicalComplex:
         self.kind = kind
         self.names = dict(names) if names else None
         self.vertex_names = dict(vertex_names) if vertex_names else None
-        self._check_local_structure()
+        # cell tables from outside are checked by from_named_cells; a closure
+        # built by from_maximal_cells takes each facet as the canonical form
+        # of a face of its own cube, so no frame is twisted
+        self._twisted = ()
         self._index()
 
     # -- construction -------------------------------------------------
@@ -336,7 +361,16 @@ class CubicalComplex:
             arr = tuple(vid[c] for c in co)
             carr, cfacets = canonicalize_cell(arr, fa)
             pre[n] = (carr, cfacets)
-        order = sorted(pre, key=lambda n: (array_dim(pre[n][0]), pre[n][0], name_key(n)))
+        # a k-cube has 2^k corners, so (length, array) is (dimension, array)
+        # order; names only break ties between equal arrays
+        order = []
+        for _arr, run in groupby(
+            sorted(pre, key=lambda n: (len(pre[n][0]), pre[n][0])), key=lambda n: pre[n][0]
+        ):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=name_key)
+            order += run
         cid = {n: i for i, n in enumerate(order)}
         cubes = []
         for n in order:
@@ -344,7 +378,9 @@ class CubicalComplex:
             cubes.append(Cube(cid[n], carr, tuple(cid[f] for f in cfacets)))
         names = {cid[n]: n for n in order}
         vertex_names = {v: n for n, v in vid.items()}
-        return cls(cubes, kind="cw", names=names, vertex_names=vertex_names)
+        X = cls(cubes, kind="cw", names=names, vertex_names=vertex_names)
+        X._check_local_structure()
+        return X
 
     # -- indexes ---------------------------------------------------------
 
@@ -395,10 +431,8 @@ class CubicalComplex:
                 self.cells_at_vertex[v].append(c)
         self.cofaces = {c: [] for c in self.cells}
         for c in sorted(self.cells):
-            cube = self.cells[c]
-            for i in range(cube.dim):
-                for s in (0, 1):
-                    self.cofaces[cube.facets[2 * i + s]].append((c, i, s))
+            for j, f in enumerate(self.cells[c].facets):
+                self.cofaces[f].append((c, j >> 1, j & 1))
         # edges by sorted corner pair; only doubled edges share a pair
         self._edges_at_pair = {}
         for e in self.by_dim.get(1, []):
@@ -511,22 +545,28 @@ class CubicalComplex:
         The edge along coordinate ``i`` is the 1-face whose corners are
         ``corners[b]`` and ``corners[b ^ (1 << i)]``, as :meth:`face_of`
         resolves it. Where every facet's frame agrees with its cube's (checked
-        at construction), each such edge is a subcell of the cube, so an edge
-        alone at its corner pair is that face. Otherwise, and for the edges of
-        a doubled pair, the candidates are filtered by the cube's subcells.
+        by :meth:`from_named_cells`, and true of every closure that
+        :meth:`from_maximal_cells` builds), each such edge is a subcell of the
+        cube, so an edge alone at its corner pair is that face. Otherwise, and
+        for the edges of a doubled pair, the candidates are filtered by the
+        cube's subcells.
         """
-        cube = self.cell(cid)
-        v = cube.corners[b]
+        return self._edges_at(self.cell(cid), b)
+
+    def _edges_at(self, cube, b):
+        # edges_at_corner for a cube at hand; link calls it once per cell
+        corners = cube.corners
+        v = corners[b]
         out = []
         for i in range(cube.dim):
-            w = cube.corners[b ^ (1 << i)]
-            matches = self._edges_at_pair.get((v, w) if v < w else (w, v), [])
-            if len(matches) > 1 or self._twisted:
-                matches = [e for e in matches if e in self.subcells(cid)]
-            if len(matches) != 1:
-                raise CellNotFound(
-                    f"cell {cid} has {len(matches)} faces with corners {sorted((v, w))}"
-                )
+            w = corners[b ^ (1 << i)]
+            matches = self._edges_at_pair.get((v, w) if v < w else (w, v), ())
+            if len(matches) != 1 or self._twisted:
+                matches = [e for e in matches if e in self.subcells(cube.cid)]
+                if len(matches) != 1:
+                    raise CellNotFound(
+                        f"cell {cube.cid} has {len(matches)} faces with corners {sorted((v, w))}"
+                    )
             out.append(matches[0])
         return out
 
@@ -538,12 +578,13 @@ class CubicalComplex:
 def verify_cw(X):
     """Check the relaxed admissibility level on a cell-identity complex.
 
-    Every cube must be embedded (checked at construction), the edges of each
-    facet in its own frame must be edges of its cube (else a
+    Every cube must be embedded (checked when the complex is built), the
+    edges of each facet in its own frame must be edges of its cube (else a
     TwistedFacetFrame finding), and every pair of cells must intersect in a
     union of pairwise vertex-disjoint common faces: the maximal common faces
-    are vertex-disjoint and their corners cover the corner-set intersection. The complex is immutable, so the report is kept
-    on it and a second call returns the first verdict.
+    are vertex-disjoint and their corners cover the corner-set intersection.
+    Only pairs that share two corners are scanned. The complex is immutable,
+    so the report is kept on it and a second call returns the first verdict.
     """
     if X._cw_report is None:
         X._cw_report = _verify_cw(X)
@@ -553,35 +594,30 @@ def verify_cw(X):
 def _verify_cw(X):
     twisted = "a facet takes its own frame, in which an edge is a diagonal of the cube"
     findings = [Finding("TwistedFacetFrame", (c,), twisted) for c in X._twisted]
-    seen = set()
-    for v in X.vertices:
-        at = X.cells_at_vertex[v]
-        for a, b in combinations(at, 2):
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            ca, cb = X.cells[a], X.cells[b]
-            inter = set(ca.corners) & set(cb.corners)
-            common = X.subcells(a) & X.subcells(b)
-            # common faces are closed under faces, so a face below another
-            # is a facet of some common face
-            maximal = common - {f for d in common for f in X.cells[d].facets}
-            covered = set()
-            disjoint = True
-            for c in maximal:
-                cs = set(X.cells[c].corners)
-                if covered & cs:
-                    disjoint = False
-                covered |= cs
-            if not disjoint or covered != inter:
-                findings.append(
-                    Finding(
-                        "NonFaceIntersection",
-                        (a, b),
-                        "maximal common faces "
-                        f"{sorted(maximal)} do not tile the corner intersection",
-                    )
+    corners = {cid: c.corners for cid, c in X.cells.items()}
+    for a, b in _pairs_sharing_two_corners(X.cells_at_vertex, corners):
+        ca, cb = X.cells[a], X.cells[b]
+        inter = set(ca.corners) & set(cb.corners)
+        common = X.subcells(a) & X.subcells(b)
+        # common faces are closed under faces, so a face below another
+        # is a facet of some common face
+        maximal = common - {f for d in common for f in X.cells[d].facets}
+        covered = set()
+        disjoint = True
+        for c in maximal:
+            cs = set(X.cells[c].corners)
+            if covered & cs:
+                disjoint = False
+            covered |= cs
+        if not disjoint or covered != inter:
+            findings.append(
+                Finding(
+                    "NonFaceIntersection",
+                    (a, b),
+                    "maximal common faces "
+                    f"{sorted(maximal)} do not tile the corner intersection",
                 )
+            )
     return ValidationReport(tuple(findings))
 
 
@@ -615,8 +651,8 @@ def link(X, v):
         cube = X.cells[cid]
         if cube.dim == 0:
             continue
-        b = X.corner_position(cid, v)
-        simplex = frozenset(X.edges_at_corner(cid, b))
+        # every cell at v has v as a corner
+        simplex = frozenset(X._edges_at(cube, cube.corners.index(v)))
         induced.setdefault(simplex, []).append(cid)
     doubled = [(s, cids) for s, cids in induced.items() if len(s) >= 2 and len(cids) > 1]
     bigons = tuple(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import CubicalComplex, SimplicialComplex
-from .errors import NotFoldable, UnlabeledVertex
+from .errors import InternalError, NotFoldable, UnlabeledVertex
 
 # ---------------------------------------------------------------------------
 # verification
@@ -192,35 +192,45 @@ def find_folding(X):
                         queue.append(w)
         return lab
 
-    def search(pos):
-        if pos == len(roots):
-            return parity_labels()
-        r = roots[pos]
-        for coord in range(n):
-            bad = False
-            for idx in watching[r]:
-                if coord in taken[idx]:
-                    bad = True
-                    break
-            if bad:
-                continue
-            assign[r] = coord
-            for idx in watching[r]:
-                taken[idx].add(coord)
-            got = search(pos + 1)
-            if got is not None:
-                return got
+    def search():
+        # depth first on an explicit stack: chosen[pos] is the coordinate of
+        # roots[pos], and coord the next one to try at the first open class
+        chosen = []
+        coord = 0
+        while True:
+            pos = len(chosen)
+            if pos == len(roots):
+                got = parity_labels()
+                if got is not None:
+                    return got
+            else:
+                r = roots[pos]
+                while coord < n and any(coord in taken[idx] for idx in watching[r]):
+                    coord += 1
+                if coord < n:
+                    assign[r] = coord
+                    for idx in watching[r]:
+                        taken[idx].add(coord)
+                    chosen.append(coord)
+                    coord = 0
+                    continue
+            # back up: undo the last choice and try the coordinate after it
+            if not chosen:
+                return None
+            coord = chosen.pop()
+            r = roots[len(chosen)]
             for idx in watching[r]:
                 taken[idx].discard(coord)
             del assign[r]
-        return None
+            coord += 1
 
-    labels = search(0)
+    labels = search()
     if labels is None:
         raise NotFoldable(
             "no coordinate assignment of the parallelism classes satisfies parity"
         )
-    assert verify_folding(X, labels) is None
+    if verify_folding(X, labels) is not None:
+        raise InternalError("the folding search returned labels that are not a folding")
     return labels
 
 

@@ -16,13 +16,13 @@ dimension m is built recursively:
   named by B_m cells directly, which is what makes assembly gluing by name
   sound.
 
-The construction keeps the halving property as runtime assertions: if the
+The construction keeps the halving property as runtime checks: if the
 complement of the fixed locus ever fails to split into two swapped halves,
 the build aborts rather than producing a wrong complex.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (
@@ -44,6 +44,11 @@ class Model:
     cells: dict  # name -> (corner names bitmask order, facet names (axis, side) order)
     boundary: dict  # boundary cell name -> (face label frozenset, strat name)
     folding: dict  # vertex name -> m-bit tuple
+    # cell names in name order, sorted once per model rather than per tile
+    order: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "order", tuple(sorted(self.cells, key=name_key)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def assemble(K, labels):
     of the labels 0..dim exactly once. Interior model cells of the copy over
     face ``s`` are named ("i", s, cell); boundary cells over the subface with
     label set F are shared between copies and named ("f", subface, strat).
-    A collision assertion guards the gluing: equal names must carry equal
+    A collision check guards the gluing: equal names must carry equal
     local structure.
     """
     err = verify_simplicial_folding(K, labels)
@@ -90,7 +95,7 @@ def assemble(K, labels):
             return ("f", tau, y)
 
         names = []
-        for x in sorted(mdl.cells, key=name_key):
+        for x in mdl.order:
             co, fa = mdl.cells[x]
             nm = glue(x)
             names.append(nm)
@@ -104,7 +109,7 @@ def assemble(K, labels):
                 if len(entry[0]) == 1:
                     src = x if nm[0] == "i" else ("b", nm[2])
                     folding[nm] = mdl.folding[src]
-        tiles[s] = tuple(sorted(names, key=name_key))
+        tiles[s] = tuple(names)
     return Assembly(cells, folding, tiles, provenance)
 
 
@@ -232,7 +237,8 @@ def model(m):
                     top_name(z, t) for z in co
                 )
                 facets = tuple(("c", f, t) for f in fa) + (("c", b, 0), top_name(b, t))
-                assert len(facets) == 2 * (d + 1)
+                if len(facets) != 2 * (d + 1):
+                    raise InternalError(f"cylinder cell over {b!r} has {len(facets)} facets")
                 cells[("c", b, t)] = (corners, facets)
         for u in sorted(U - fix, key=name_key):
             co, fa = bcells[u]
@@ -258,7 +264,8 @@ def model(m):
             folding[top_name(b, 1)] = lab + (1,)
         for nm, (co, _fa) in cells.items():
             if len(co) == 1 and nm not in folding:
-                assert nm[0] == "b"
+                if nm[0] != "b":
+                    raise InternalError(f"unlabelled model vertex {nm!r}")
                 folding[nm] = B.folding[nm[1]] + (1,)
         mdl = Model(cells, boundary, folding)
     _models[m] = mdl

@@ -10,9 +10,9 @@ canonicalized again, links with every induced simplex sorted and their
 maximal faces by pairwise containment, every cell's subcells for hyperplane
 carriers, networkx clique enumeration for flagness, networkx verdicts on
 the mirror/chamber incidence graph, one union-find pass over every
-codimension-1 cell per cut for chambers, and the sublinks of every dual
-vertex checked for flagness. Differential tests compare the library against
-them.
+codimension-1 cell per cut for chambers, the sublinks of every dual
+vertex checked for flagness, and the folding search recursing once per
+parallelism class. Differential tests compare the library against them.
 """
 
 from functools import lru_cache
@@ -407,3 +407,65 @@ def verify_dual_axioms(D):
     checks.append(_verdict("interval-complete", bad))
 
     return CheckReport(tuple(checks))
+
+
+def find_folding(X):
+    """The first folding in search order, or None; one recursion level per
+    parallelism class, so only for complexes with few classes."""
+    n = X.dim
+    if n <= 0:
+        return {v: () for v in X.vertices}
+    classes = parallelism_classes(X)
+    roots = sorted(classes)
+    root_of = {e: r for r, es in classes.items() for e in es}
+    cube_dirs = [
+        [root_of[e] for e in X.edges_at_corner(cid, 0)]
+        for cid in sorted(X.cells)
+        if X.cells[cid].dim >= 2
+    ]
+    if any(len(set(dirs)) != len(dirs) for dirs in cube_dirs):
+        return None
+    watching = {r: [i for i, dirs in enumerate(cube_dirs) if r in dirs] for r in roots}
+    taken = [set() for _ in cube_dirs]
+    assign = {}
+
+    def parity_labels():
+        lab = {}
+        for start in X.vertices:
+            if start in lab:
+                continue
+            lab[start] = (0,) * n
+            queue = [start]
+            for v in queue:
+                for e in X.cells_at_vertex[v]:
+                    if X.cells[e].dim != 1:
+                        continue
+                    (w,) = set(X.cells[e].corners) - {v}
+                    i = assign[root_of[e]]
+                    want = tuple(x ^ 1 if j == i else x for j, x in enumerate(lab[v]))
+                    if w not in lab:
+                        lab[w] = want
+                        queue.append(w)
+                    elif lab[w] != want:
+                        return None
+        return lab
+
+    def search(pos):
+        if pos == len(roots):
+            return parity_labels()
+        r = roots[pos]
+        for coord in range(n):
+            if any(coord in taken[i] for i in watching[r]):
+                continue
+            assign[r] = coord
+            for i in watching[r]:
+                taken[i].add(coord)
+            got = search(pos + 1)
+            if got is not None:
+                return got
+            for i in watching[r]:
+                taken[i].discard(coord)
+            del assign[r]
+        return None
+
+    return search(0)

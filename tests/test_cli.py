@@ -189,6 +189,20 @@ def test_a_9001_vertex_loop_contracts_and_verifies(tmp_path):
     assert payload(r) == {"valid": True}
 
 
+def test_validate_and_fold_on_a_star_of_1000_edges(tmp_path):
+    # one parallelism class per edge, past the recursion limit of a search
+    # that recursed once per class
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"kind": "cubical", "maximal": [[0, i] for i in range(1, 1001)]}))
+    r = run("validate", "--in", str(path))
+    assert r.exit_code == 0
+    r = run("fold", "--in", str(path))
+    assert r.exit_code == 0
+    labels = dict((v, tuple(lab)) for v, lab in payload(r)["labels"])
+    assert labels[0] == (0,) and len(labels) == 1001
+    assert all(labels[v] == (1,) for v in range(1, 1001))
+
+
 def test_validate_reports_inadmissible_input(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 3, 5]]}')

@@ -4,9 +4,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from cubemill.complexes import graph_complex
-from cubemill.errors import NotFoldable, UnlabeledVertex
-from cubemill.fixtures import fixture, grid3, rose, strip, tube
+import reference
+from cubemill import folding
+from cubemill.complexes import CubicalComplex, graph_complex
+from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex
+from cubemill.fixtures import FIXTURE_NAMES, fixture, grid3, rose, strip, tube
 from cubemill.folding import (
     assert_folding,
     find_folding,
@@ -16,7 +18,7 @@ from cubemill.folding import (
     parallelism_classes,
     verify_folding,
 )
-from helpers import mirror_list
+from helpers import cube_grid_cells, grid_squares, mirror_list
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,48 @@ def test_strip_foldable():
 def test_zero_dimensional_complex_folds_trivially():
     X = graph_complex([], isolated=(0, 1, 2))
     assert find_folding(X) == {v: () for v in X.vertices}
+
+
+def _search_outcome(X):
+    try:
+        return find_folding(X)
+    except NotFoldable:
+        return None
+
+
+def _search_cases():
+    yield from (fixture(name).complex for name in FIXTURE_NAMES)
+    yield from (rose(m) for m in range(2, 9))
+    yield from (tube(length) for length in (1, 2, 3, 4))
+    yield from (strip(3), grid3()[0])
+    # a path of two edges across a square's diagonal flips both coordinates,
+    # so the first complete assignment fails parity and the search backs up
+    yield CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (0, 4), (4, 3)])
+    # here parity holds only once a square's class moves to its second
+    # coordinate, so the search backs up through classes that squares watch
+    yield CubicalComplex.from_maximal_cells([(2, 0), (0, 5, 6, 3), (3, 5, 2, 1)])
+    yield CubicalComplex.from_maximal_cells(grid_squares(4))
+    yield CubicalComplex.from_maximal_cells(cube_grid_cells(2))
+    rng = random.Random(2206)
+    for _ in range(40):
+        g = nx.gnp_random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.5), seed=rng.randrange(10**9))
+        if g.edges:
+            yield graph_complex(g.edges)
+
+
+def test_search_on_a_stack_matches_the_recursive_search():
+    for X in _search_cases():
+        assert _search_outcome(X) == reference.find_folding(X)
+
+
+def test_a_returned_non_folding_is_an_internal_error(monkeypatch):
+    X = fixture("grid2").complex
+    find_folding(X)
+    monkeypatch.setattr(
+        folding, "verify_folding", lambda X, labels: folding.FoldingObstruction("edge", 0, "")
+    )
+    with pytest.raises(InternalError):
+        find_folding(X)
 
 
 @given(st.integers(3, 9), st.booleans())

@@ -27,6 +27,7 @@ from cubemill.complexes import (
     cubical_subdivision,
     face_array,
     link,
+    name_key,
     validate_cubical,
     verify_cw,
 )
@@ -174,6 +175,57 @@ def test_validation_matches_on_random_families(lists):
     assert got.findings == reference.validate_cubical(lists).findings
 
 
+def _star(n):
+    return [(0, i) for i in range(1, n + 1)]
+
+
+def _book(k):
+    """k squares on the edge {0, 1}, in bitmask order."""
+    return [(0, 1, 2 * j + 2, 2 * j + 3) for j in range(k)]
+
+
+def _book_with_bad_pairs(k):
+    """A book with squares that share two edges of a page, which meet at a
+    corner: ``0-1`` and ``0-a`` (least shared corner 0), or ``a-b`` and
+    ``b-1`` (least shared corner 1). Each is a bad pair at both levels."""
+    lists = _book(k)
+    fresh = iter(range(100, 200))
+    for j in (k - 1, 0, k // 2):
+        a, b = 2 * j + 2, 2 * j + 3
+        lists.insert(j, (0, 1, a, next(fresh)))
+        lists.append((a, b, next(fresh), 1))
+    return lists
+
+
+STARS_AND_BOOKS = {
+    "star40": _star(40),
+    **{f"book{k}": _book(k) for k in (1, 2, 5, 8)},
+    "book8_bad": _book_with_bad_pairs(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARS_AND_BOOKS))
+def test_stars_and_books_match_the_pairwise_definitions(name):
+    lists = STARS_AND_BOOKS[name]
+    for family in (lists, lists[::-1]):
+        got = validate_cubical(family)
+        assert got == reference.validate_cubical(family)
+        assert got.ok != name.endswith("bad")
+    X = _glued_by_corner_sets(lists)
+    got = verify_cw(X)
+    assert got == reference.verify_cw(X)
+    assert len(got.findings) >= (6 if name.endswith("bad") else 0)
+    if got.ok:
+        Y = CubicalComplex.from_maximal_cells(lists)
+        assert verify_cw(Y) == reference.verify_cw(Y)
+
+
+def test_a_star_of_4000_edges_validates_and_is_cw():
+    lists = _star(4000)
+    assert validate_cubical(lists).ok
+    assert verify_cw(CubicalComplex.from_maximal_cells(lists)).ok
+
+
 def _glued_by_corner_sets(lists):
     """A cw complex with one top cell per corner list; lower faces with equal
     corner sets are one cell, so equal top corner sets stay doubled."""
@@ -229,6 +281,48 @@ def test_relaxed_validation_matches_on_random_families(lists):
     assume(lists)
     X = _glued_by_corner_sets(lists)
     assert verify_cw(X) == reference.verify_cw(X)
+
+
+def _assert_closure_is_locally_sound(X):
+    # from_maximal_cells skips the local structure check: each facet is the
+    # canonical form of a face of its own cube, so the check cannot fail
+    X._check_local_structure()
+    assert X._twisted == ()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_closures_pass_the_local_structure_check(name):
+    X, _labels = case(name)
+    if X.names is None:  # built by from_maximal_cells
+        _assert_closure_is_locally_sound(X)
+    _assert_closure_is_locally_sound(cubical_subdivision(X))
+
+
+@settings(max_examples=300)
+@given(corner_list_families())
+def test_closures_of_random_families_pass_the_local_structure_check(lists):
+    lists = [arr for arr in lists if len(set(arr)) == len(arr)]
+    assume(lists)
+    _assert_closure_is_locally_sound(CubicalComplex.from_maximal_cells(lists, check=False))
+
+
+@pytest.mark.parametrize("name", ["gromov_boundary2", "gromov_boundary3", "gdelta2", "sphere"])
+def test_named_cells_keep_their_order(name):
+    # ids follow (dimension, canonical array, name); names only break ties
+    X = fixture(name).complex if name in FIXTURE_NAMES else case(name)[0]
+    cells = X.cells
+    old = sorted(cells, key=lambda c: (cells[c].dim, cells[c].corners, name_key(X.names[c])))
+    assert old == list(range(len(cells)))
+    if name == "gromov_boundary3":
+        assert len({c.corners for c in cells.values()}) < len(cells)  # ties occur
+    # the same cell table listed in reverse gives the same ids
+    names = X.names
+    named = {}
+    for c in reversed(range(len(cells))):
+        corners = tuple(names[X.zero_cell[v]] for v in cells[c].corners)
+        named[names[c]] = (corners, tuple(names[f] for f in cells[c].facets))
+    Y = CubicalComplex.from_named_cells(named)
+    assert Y.names == names and _cells(Y) == _cells(X)
 
 
 @pytest.mark.parametrize("name", CASES)
