@@ -324,7 +324,14 @@ class CubicalComplex:
         facets_of = {}  # canonical array -> canonical facet arrays
 
         def add(arr):
-            a = canonical_corner_array(arr)
+            # a 0-cell is its own array and an edge its sorted pair; both pass
+            # array_dim, and repeated corners are refused before add
+            if len(arr) == 1:
+                a = arr
+            elif len(arr) == 2:
+                a = arr if arr[0] < arr[1] else (arr[1], arr[0])
+            else:
+                a = canonical_corner_array(arr)
             if a not in facets_of:
                 k = len(a).bit_length() - 1
                 facets_of[a] = tuple(add(face_array(a, i, s)) for i in range(k) for s in (0, 1))
@@ -651,8 +658,13 @@ def link(X, v):
         cube = X.cells[cid]
         if cube.dim == 0:
             continue
-        # every cell at v has v as a corner
-        simplex = frozenset(X._edges_at(cube, cube.corners.index(v)))
+        if cube.dim == 1:
+            # an edge at v is its own link vertex: a doubled twin is not one
+            # of its subcells, and an edge has no twisted frame
+            simplex = frozenset((cid,))
+        else:
+            # every cell at v has v as a corner
+            simplex = frozenset(X._edges_at(cube, cube.corners.index(v)))
         induced.setdefault(simplex, []).append(cid)
     doubled = [(s, cids) for s, cids in induced.items() if len(s) >= 2 and len(cids) > 1]
     bigons = tuple(
@@ -677,15 +689,23 @@ class SimplicialComplex:
     """
 
     def __init__(self, maximal_faces):
+        # closure by facets: a face already present came with all its subsets
         faces = set()
-        for f in maximal_faces:
-            f = frozenset(f)
-            if f in faces:
-                continue  # a face already present came with all its subsets
-            for r in range(1, len(f) + 1):
-                faces.update(map(frozenset, combinations(f, r)))
+        stack = [frozenset(f) for f in maximal_faces]
+        while stack:
+            f = stack.pop()
+            if f and f not in faces:
+                faces.add(f)
+                if len(f) > 1:
+                    stack.extend(f - {v} for v in f)
         self.faces = frozenset(faces)
-        self.vertices = sorted({v for f in faces for v in f}, key=name_key)
+        vertices = [v for f in faces if len(f) == 1 for v in f]
+        # name_key orders plain ints (not bools) numerically
+        if all(type(v) is int for v in vertices):
+            vertices.sort()
+        else:
+            vertices.sort(key=name_key)
+        self.vertices = vertices
 
     @cached_property
     def maximal(self):

@@ -51,17 +51,20 @@ def build_tree(Y, labels, i, mirror_list=None):
         raise ValueError(f"coordinate {i} out of range for dimension {Y.dim}")
     ml = mirrors(Y, labels) if mirror_list is None else mirror_list
     mine = [M for M in ml if M.coordinate == i]
-    cut = set()
-    for M in mine:
-        cut |= M.cells
+    # the mirrors of one coordinate are disjoint: no cell has every vertex
+    # labelled both 0 and 1, and mirrors of one side are distinct components
+    mirror_of = {c: M.index for M in mine for c in M.cells}
 
-    chambers = chambers_avoiding(Y, cut)
+    chambers = chambers_avoiding(Y, mirror_of)
 
-    edges = []
-    for M in mine:
-        for k, chamber in enumerate(chambers):
-            if any(Y.subcells(t) & M.cells for t in chamber):
-                edges.append((M.index, k))
+    edges = set()
+    for k, chamber in enumerate(chambers):
+        for t in chamber:
+            for c in Y.subcells(t):
+                m = mirror_of.get(c)
+                if m is not None:
+                    edges.add((m, k))
+    edges = sorted(edges)
 
     # a simple graph is a forest exactly when |E| = |V| - components
     nodes = [("mirror", M.index) for M in mine]
@@ -81,7 +84,7 @@ def build_tree(Y, labels, i, mirror_list=None):
         i,
         tuple(M.index for M in mine),
         chambers,
-        tuple(sorted(edges)),
+        tuple(edges),
         connected,
         acyclic,
         leafless,

@@ -160,22 +160,20 @@ def verify_dual_axioms(D):
     checks.append(_verdict("square-heights", bad))
 
     bad = []
+    subcells = D.source.subcells
     for cube in X.cells.values():
         k = cube.dim
-        low = min(h[u] for u in cube.corners)
-        high = max(h[u] for u in cube.corners)
-        lows = [v for v in cube.corners if h[v] == low]
-        highs = [v for v in cube.corners if h[v] == high]
-        if len(lows) != 1 or len(highs) != 1:
+        if k == 0:
+            continue  # a single corner is its own interval
+        c = cube.corners
+        hs = [h[u] for u in c]
+        low, high = min(hs), max(hs)
+        if hs.count(low) != 1 or hs.count(high) != 1 or high - low != k:
             bad.append(cube.cid)
             continue
-        lo, hi = lows[0], highs[0]
-        if h[hi] - h[lo] != k:
-            bad.append(cube.cid)
-            continue
-        sub_hi = D.source.subcells(hi)
-        for v in cube.corners:
-            if v not in sub_hi or lo not in D.source.subcells(v):
+        lo, sub_hi = c[hs.index(low)], subcells(c[hs.index(high)])
+        for v in c:
+            if v not in sub_hi or lo not in subcells(v):
                 bad.append(cube.cid)
                 break
     checks.append(_verdict("cube-intervals", bad))

@@ -123,10 +123,11 @@ def parallelism_classes(X):
 def find_folding(X):
     """Search for a folding of ``X`` onto the cube of its dimension.
 
-    Parallelism classes are assigned coordinates by backtracking in canonical
-    class order, pruning when a cube would see the same coordinate twice; at
-    complete assignments each coordinate must admit a side potential (an even
-    parity condition checked by BFS). The first success in search order is
+    Each connected component is searched on its own. Its parallelism classes
+    are assigned coordinates by backtracking in canonical class order,
+    pruning when a cube would see the same coordinate twice; at complete
+    assignments each coordinate must admit a side potential (an even parity
+    condition checked by BFS). The first success in search order is
     returned: least vertex of every component gets the all-zeros label.
 
     Raises NotFoldable when the search is exhausted.
@@ -135,7 +136,6 @@ def find_folding(X):
     if n <= 0:
         return {v: () for v in X.vertices}
     classes = parallelism_classes(X)
-    roots = sorted(classes)
     root_of = {}
     for r, es in classes.items():
         for e in es:
@@ -155,7 +155,7 @@ def find_folding(X):
             )
         cube_dirs.append(tuple(dirs))
 
-    watching = {r: [] for r in roots}
+    watching = {r: [] for r in classes}
     for idx, dirs in enumerate(cube_dirs):
         for r in dirs:
             watching[r].append(idx)
@@ -169,30 +169,25 @@ def find_folding(X):
         adj[a].append((b, e))
         adj[b].append((a, e))
 
-    def parity_labels():
-        # one BFS assigns the whole label vector; per-edge only the edge's
+    def parity_labels(start):
+        # one BFS labels the component of start; per edge only the edge's
         # coordinate may flip, all others must agree
-        lab = {}
-        for start in X.vertices:
-            if start in lab:
-                continue
-            lab[start] = tuple(0 for _ in range(n))
-            queue = [start]
-            for v in queue:
-                for w, e in adj[v]:
-                    i = assign[root_of[e]]
-                    want = tuple(
-                        (x ^ 1 if j == i else x) for j, x in enumerate(lab[v])
-                    )
-                    if w in lab:
-                        if lab[w] != want:
-                            return None
-                    else:
-                        lab[w] = want
-                        queue.append(w)
+        lab = {start: (0,) * n}
+        queue = [start]
+        for v in queue:
+            for w, e in adj[v]:
+                i = assign[root_of[e]]
+                lv = lab[v]
+                want = lv[:i] + (lv[i] ^ 1,) + lv[i + 1 :]
+                if w in lab:
+                    if lab[w] != want:
+                        return None
+                else:
+                    lab[w] = want
+                    queue.append(w)
         return lab
 
-    def search():
+    def search(roots, start):
         # depth first on an explicit stack: chosen[pos] is the coordinate of
         # roots[pos], and coord the next one to try at the first open class
         chosen = []
@@ -200,7 +195,7 @@ def find_folding(X):
         while True:
             pos = len(chosen)
             if pos == len(roots):
-                got = parity_labels()
+                got = parity_labels(start)
                 if got is not None:
                     return got
             else:
@@ -224,11 +219,26 @@ def find_folding(X):
             del assign[r]
             coord += 1
 
-    labels = search()
-    if labels is None:
-        raise NotFoldable(
-            "no coordinate assignment of the parallelism classes satisfies parity"
-        )
+    # Connected components share no cube and no cycle, so the first joint
+    # assignment is the product of their first assignments: each component is
+    # searched on its own, in order of its least vertex.
+    labels = {}
+    for start in X.vertices:
+        if start in labels:
+            continue
+        comp, seen, mine = [start], {start}, set()
+        for v in comp:
+            for w, e in adj[v]:
+                mine.add(root_of[e])
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        got = search(sorted(mine), start)
+        if got is None:
+            raise NotFoldable(
+                "no coordinate assignment of the parallelism classes satisfies parity"
+            )
+        labels.update(got)
     if verify_folding(X, labels) is not None:
         raise InternalError("the folding search returned labels that are not a folding")
     return labels

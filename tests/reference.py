@@ -6,13 +6,14 @@ pairwise containment test for the maximal common faces of relaxed
 validation, one corner-set face lookup per coordinate for the edges at a
 corner (or one scan of the cube's subcells), one corner-set face lookup per
 corner of each subdivision cube, closed with every facet array
-canonicalized again, links with every induced simplex sorted and their
-maximal faces by pairwise containment, every cell's subcells for hyperplane
-carriers, networkx clique enumeration for flagness, networkx verdicts on
-the mirror/chamber incidence graph, one union-find pass over every
-codimension-1 cell per cut for chambers, the sublinks of every dual
-vertex checked for flagness, and the folding search recursing once per
-parallelism class. Differential tests compare the library against them.
+canonicalized again, links and simplicial complexes closed over every
+subset of each face with their maximal faces by pairwise containment, every
+cell's subcells for hyperplane carriers, networkx clique enumeration for
+flagness, the mirror/chamber incidences tested pair by pair and networkx
+verdicts on that graph, one union-find pass over every codimension-1 cell
+per cut for chambers, the sublinks of every dual vertex checked for
+flagness, and the folding search recursing once per parallelism class.
+Differential tests compare the library against them.
 """
 
 from functools import lru_cache
@@ -193,8 +194,13 @@ def link(X, v):
         for simplex, cids in sorted(induced.items(), key=lambda kv: name_key(kv[0]))
         if len(simplex) >= 2 and len(cids) > 1
     )
+    return (*closure(induced), bigons)
+
+
+def closure(maximal_faces):
+    """(faces, maximal faces, vertices) of the closure under nonempty subsets."""
     faces = set()
-    for f in induced:
+    for f in maximal_faces:
         for r in range(1, len(f) + 1):
             for sub in combinations(sorted(f, key=name_key), r):
                 faces.add(frozenset(sub))
@@ -203,7 +209,7 @@ def link(X, v):
         key=lambda f: (len(f), name_key(f)),
     )
     vertices = sorted({v for f in faces for v in f}, key=name_key)
-    return frozenset(faces), tuple(maximal), vertices, bigons
+    return frozenset(faces), tuple(maximal), vertices
 
 
 def hyperplane_carriers(X):
@@ -326,6 +332,18 @@ def chambers_avoiding(X, cut):
     for t in tops:
         grouped.setdefault(dsu.find(t), []).append(t)
     return tuple(tuple(grouped[root]) for root in sorted(grouped))
+
+
+def tree_edges(Y, mirror_list, i):
+    """(mirror index, chamber position) incidences of coordinate ``i``, pair by pair."""
+    mine = [M for M in mirror_list if M.coordinate == i]
+    chambers = chambers_avoiding(Y, set().union(*(M.cells for M in mine)))
+    return tuple(
+        (M.index, k)
+        for M in mine
+        for k, chamber in enumerate(chambers)
+        if any(Y.subcells(t) & M.cells for t in chamber)
+    )
 
 
 def verify_dual_axioms(D):

@@ -203,6 +203,16 @@ def test_validate_and_fold_on_a_star_of_1000_edges(tmp_path):
     assert all(labels[v] == (1,) for v in range(1, 1001))
 
 
+def test_fold_refuses_an_odd_triangle_beside_30_squares(tmp_path):
+    # each component is searched on its own, so the refusal comes at once
+    cells = [[0, 1], [1, 2], [0, 2]] + [list(range(3 + 4 * j, 7 + 4 * j)) for j in range(30)]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"kind": "cubical", "maximal": cells}))
+    r = run("fold", "--in", str(path))
+    assert r.exit_code == 1
+    assert payload(r)["error"] == "NotFoldable"
+
+
 def test_validate_reports_inadmissible_input(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 3, 5]]}')

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from cubemill.complexes import (
     Cube,
     CubicalComplex,
@@ -264,6 +265,34 @@ def test_simplicial_counts():
     assert K.counts() == {0: 3, 1: 3, 2: 1}
     assert K.dim == 2
     assert K.is_pure()
+
+
+# construction names of every kind that name_key orders, bools included
+_names = st.recursive(
+    st.integers(-3, 9) | st.booleans() | st.text("ab", max_size=2),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def face_lists(draw):
+    """Faces over a few names, with some repeated and some listed before a
+    face that contains them."""
+    pool = draw(st.lists(_names, min_size=1, max_size=7, unique=True))
+    face = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+    faces = draw(st.lists(face, max_size=6))
+    extra = [f[: draw(st.integers(1, len(f)))] for f in faces if draw(st.booleans())]
+    return draw(st.permutations(extra + faces))
+
+
+@given(face_lists())
+def test_closure_and_vertex_order_match_every_subset(faces):
+    K = SimplicialComplex(faces)
+    want_faces, want_maximal, want_vertices = reference.closure(faces)
+    assert K.faces == want_faces
+    assert K.vertices == want_vertices
+    assert K.maximal == want_maximal
 
 
 def test_barsub_of_triangle():

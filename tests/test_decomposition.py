@@ -3,10 +3,13 @@
 import networkx as nx
 import pytest
 
+import reference
 from cubemill.complexes import CubicalComplex
 from cubemill.decomposition import build_all_trees, build_tree
-from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
-from cubemill.folding import find_folding
+from cubemill.fixtures import FIXTURE_NAMES, fixture, grid3, simply_connected_names, strip
+from cubemill.folding import find_folding, mirrors
+from cubemill.gromov import boundary_complex, gromov_hyperbolize
+from helpers import cube_grid_cells, grid_squares
 from reference import incidence_graph, tree_verdicts
 
 
@@ -150,3 +153,43 @@ def test_verdicts_match_networkx_on_every_coordinate(name):
         trees = build_all_trees(f.complex, f.labels)
     for t in trees:
         assert (t.connected, t.acyclic, t.leafless) == tree_verdicts(t), t.coordinate
+
+
+def _tree_case(name):
+    """A complex and a folding of it."""
+    if name in FIXTURE_NAMES:
+        f = fixture(name)
+        return f.complex, f.labels
+    if name == "grid3":
+        return grid3()
+    if name == "hyperbolized boundary of the 3-simplex":
+        r = gromov_hyperbolize(boundary_complex(3), None)
+        return r.complex, r.folding
+    X = {
+        "grid 5x5": lambda: CubicalComplex.from_maximal_cells(grid_squares(5)),
+        "strip8": lambda: strip(8),
+        "cube grid 3x3x3": lambda: CubicalComplex.from_maximal_cells(cube_grid_cells(3)),
+    }[name]()
+    return X, find_folding(X)
+
+
+@pytest.mark.parametrize(
+    "name",
+    (
+        "grid2",
+        "grid3",
+        "grid 5x5",
+        "strip8",
+        "torus4",
+        "cube grid 3x3x3",
+        "hyperbolized boundary of the 3-simplex",
+        "sphere",
+    ),
+)
+def test_tree_edges_match_the_pairwise_definition(name):
+    Y, labels = _tree_case(name)
+    ml = mirrors(Y, labels)
+    for i in range(Y.dim):
+        want = reference.tree_edges(Y, ml, i)
+        assert build_tree(Y, labels, i).edges == want, i
+        assert build_tree(Y, labels, i, mirror_list=ml).edges == want, i

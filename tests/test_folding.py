@@ -142,6 +142,17 @@ def _search_cases():
     yield CubicalComplex.from_maximal_cells([(2, 0), (0, 5, 6, 3), (3, 5, 2, 1)])
     yield CubicalComplex.from_maximal_cells(grid_squares(4))
     yield CubicalComplex.from_maximal_cells(cube_grid_cells(2))
+    # disconnected: components are searched one at a time, and each of these
+    # has a component on which the search backs up
+    backs_up = [(0, 1, 2, 3), (0, 4), (4, 3)]
+    yield CubicalComplex.from_maximal_cells(backs_up + [tuple(v + 5 for v in c) for c in backs_up])
+    yield CubicalComplex.from_maximal_cells(
+        [(12, 10), (10, 15, 16, 13), (13, 15, 12, 11), (0, 1, 2, 3)]
+        + [(4, 5), (5, 6), (6, 7), (7, 4)]
+    )
+    yield CubicalComplex.from_maximal_cells(backs_up + [(10, 11, 12, 13), (20, 21)] + [(30,)])
+    yield CubicalComplex.from_maximal_cells(_odd_triangle_beside_squares(3))
+    yield CubicalComplex.from_maximal_cells([(20, 21), (21, 22), (20, 22)] + backs_up)
     rng = random.Random(2206)
     for _ in range(40):
         g = nx.gnp_random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.5), seed=rng.randrange(10**9))
@@ -152,6 +163,19 @@ def _search_cases():
 def test_search_on_a_stack_matches_the_recursive_search():
     for X in _search_cases():
         assert _search_outcome(X) == reference.find_folding(X)
+
+
+def _odd_triangle_beside_squares(k):
+    """An odd cycle of three edges and k disjoint squares: no folding."""
+    return [(0, 1), (1, 2), (0, 2)] + [tuple(range(3 + 4 * j, 7 + 4 * j)) for j in range(k)]
+
+
+def test_components_are_searched_one_at_a_time():
+    # one search over all classes together would back up through 2^33
+    # assignments here
+    X = CubicalComplex.from_maximal_cells(_odd_triangle_beside_squares(30))
+    with pytest.raises(NotFoldable, match="no coordinate assignment"):
+        find_folding(X)
 
 
 def test_a_returned_non_folding_is_an_internal_error(monkeypatch):
