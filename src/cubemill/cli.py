@@ -205,6 +205,8 @@ def gromov(in_path, folding_path, do_verify, out):
         if in_path is None:
             raise click.UsageError("gromov wants --in with a simplicial complex file")
         K = formats.parse_complex(Path(in_path).read_text())
+        if not isinstance(K, SimplicialComplex):
+            raise FormatError("gromov wants a simplicial complex", field="kind")
         labels = None
         if folding_path is not None:
             labels = formats.parse_folding(Path(folding_path).read_text())

@@ -718,9 +718,6 @@ class SimplicialComplex:
     def dim(self):
         return max((len(f) - 1 for f in self.faces), default=-1)
 
-    def faces_of_dim(self, k):
-        return sorted((f for f in self.faces if len(f) == k + 1), key=name_key)
-
     def is_pure(self):
         n = self.dim
         return all(len(f) - 1 == n for f in self.maximal)

@@ -226,34 +226,31 @@ def _verdict(name, bad):
 # mirrors on the dual side
 
 
-@dataclass(frozen=True)
-class DualMirror:
-    vertices: frozenset  # dual vertices over mirror cells
-    components: tuple  # complement components (frozensets of dual vertices)
-    component_of: dict  # complement dual vertex -> component index
-
-
 def dual_mirror(D, M):
-    """The dual vertices over a mirror and their complement components.
+    """Side labels of the flank vertices of a mirror region.
 
-    The region's vertices are the mirror's cells themselves. Complement components are taken in the cover graph: dual vertices outside
-    the mirror region, joined by dual edges with both ends outside. They are
-    numbered by their least vertex.
+    The region's vertices are the mirror's cells themselves, and its flank
+    vertices are the dual vertices outside it that a dual edge joins to it.
+    Two flank vertices get the same label exactly when a dual path outside
+    the region joins them; the label is the least flank vertex so joined.
+    The search stops as soon as every flank vertex has its label.
     """
-    verts = M.cells
+    region = M.cells
     adj = D.skeleton()
-    components = []
-    component_of = {}
-    for start in D.complex.vertices:  # ascending, so least vertices come first
-        if start in verts or start in component_of:
+    flank = {w for v in region for w in adj[v] if w not in region}
+    sides = {}
+    seen = set()
+    for start in sorted(flank):
+        if start in sides:
             continue
-        i = len(components)
-        component_of[start] = i
-        comp = [start]
-        for v in comp:
+        seen.add(start)
+        todo = [start]
+        while todo and len(sides) < len(flank):
+            v = todo.pop()
+            if v in flank:
+                sides[v] = start
             for w in adj[v]:
-                if w not in verts and w not in component_of:
-                    component_of[w] = i
-                    comp.append(w)
-        components.append(frozenset(comp))
-    return DualMirror(verts, tuple(components), component_of)
+                if w not in region and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return sides

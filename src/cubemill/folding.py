@@ -48,20 +48,21 @@ def verify_folding(X, labels):
     """
     n = X.dim
     lab = {v: _label_of(labels, v, n) for v in X.vertices}
+    # a label as an int, coordinate i at bit i
+    bit = {v: sum(1 << i for i, x in enumerate(c) if x) for v, c in lab.items()}
     for cid in sorted(X.cells):
         cube = X.cells[cid]
         k = cube.dim
         if k == 0:
             continue
-        corner_labels = [lab[v] for v in cube.corners]
         if k == 1:
-            a, b = corner_labels
+            a, b = (lab[v] for v in cube.corners)
             if sum(x != y for x, y in zip(a, b)) != 1:
                 return FoldingObstruction(
                     "edge", cid, f"endpoint labels {a} and {b} do not flip exactly one coordinate"
                 )
             continue
-        bits = [int("".join(map(str, reversed(c))), 2) for c in corner_labels]
+        bits = [bit[v] for v in cube.corners]
         if len(set(bits)) != len(bits):
             return FoldingObstruction("cube", cid, "corner labels repeat")
         base = bits[0]
@@ -358,7 +359,6 @@ def framings(X, M):
 class SeparationReport:
     separates: bool
     n_components: int
-    component_of: dict  # top cell -> component index
     framing_count: int
 
 
@@ -397,4 +397,4 @@ def mirror_separates(X, M):
     comp_of = {t: idx for idx, comp in enumerate(comps) for t in comp}
     fr = framings(X, M)
     separated = all(comp_of[c1] != comp_of[c2] for (_s, (c1, c2)) in fr)
-    return SeparationReport(separated, len(comps), comp_of, len(fr))
+    return SeparationReport(separated, len(comps), len(fr))

@@ -295,6 +295,8 @@ def gromov_hyperbolize(K, labels=None):
     """
     if not isinstance(K, SimplicialComplex):
         raise TypeError("expected a simplicial complex")
+    if K.dim < 0:
+        raise UnsupportedDimension("the empty complex has no hyperbolization")
     if K.dim > MAX_MODEL_DIM:
         raise UnsupportedDimension(
             f"dimension {K.dim} exceeds the model cap {MAX_MODEL_DIM}"

@@ -8,10 +8,12 @@ pieces by projecting a minimal bridge onto its supporting mirror region.
 Every operation emits replayable moves; ``verify_certificate`` replays them
 against the dual complex without trusting the producer.
 
-The mirror-side data surgery reads (the mirrors of the folding, their
-separation reports and dual regions) is built once per dual complex and
+The mirror-side data surgery reads is built once per dual complex and
 folding by ``surgery_context`` and kept on the dual complex, so after that
-first call the cost of contracting a loop follows the loop.
+first call the cost of contracting a loop follows the loop. It is the
+mirrors of the folding, whether each separates, and for each separating
+mirror the side labels of its flank vertices; a mirror's region is its own
+cell set.
 
 Determinism: mirrors are scanned in their canonical order, gaps and bridges
 break ties toward the least start index and least length, slides raise all
@@ -49,8 +51,8 @@ class SurgeryContext:
     D: object  # the DualComplex
     labels: dict  # a copy of the folding, vertex -> label tuple
     mirrors: tuple  # the canonical mirror list of the folding
-    separation: tuple  # SeparationReport per mirror
-    regions: tuple  # DualMirror per mirror
+    separates: tuple  # per mirror, whether it separates its framings
+    sides: tuple  # per mirror, its flank side labels if it separates, else None
     refusal: object  # the first mirror that does not separate, or None
 
 
@@ -65,16 +67,10 @@ def surgery_context(D, labels):
     ctx = D._surgery.get(key)
     if ctx is None:
         ml = tuple(mirrors(D.source, labels))
-        seps = tuple(mirror_separates(D.source, M) for M in ml)
-        refusal = next((M for M, sep in zip(ml, seps) if not sep.separates), None)
-        ctx = SurgeryContext(
-            D,
-            dict(labels),
-            ml,
-            seps,
-            tuple(dual_mirror(D, M) for M in ml),
-            refusal,
-        )
+        seps = tuple(mirror_separates(D.source, M).separates for M in ml)
+        sides = tuple(dual_mirror(D, M) if sep else None for M, sep in zip(ml, seps))
+        refusal = next((M for M, sep in zip(ml, seps) if not sep), None)
+        ctx = SurgeryContext(D, dict(labels), ml, seps, sides, refusal)
         D._surgery[key] = ctx
     return ctx
 
@@ -132,14 +128,17 @@ def random_loop(D, rng, max_len=12):
 
     A random walk spends half the budget, then a shortest path closes the
     loop; heights alternate parity along edges, so the closing path cannot
-    overrun the remaining half.
+    overrun the remaining half. A start without neighbours gives the
+    constant loop.
     """
     if max_len < 2:
         raise ValueError("loops need length at least 2")
+    if not D.complex.vertices:
+        raise CellNotFound("the dual complex has no vertex")
     adj = D.skeleton()
     start = rng.choice(D.complex.vertices)
     walk = [start]
-    for _ in range(max_len // 2):
+    for _ in range(max_len // 2 if adj[start] else 0):
         walk.append(rng.choice(sorted(adj[walk[-1]])))
     back = _shortest_path(adj, walk[-1], start)
     return tuple(walk + back[1:])
@@ -202,7 +201,7 @@ def _meet(adj, pred, succ, source, target):
 class CrossingProfile:
     mirror_index: int
     runs: tuple  # per run: tuple of loop positions inside the mirror region
-    crossing_flags: tuple  # per run: whether the flanks lie in different components
+    crossing_flags: tuple  # per run: whether its flanks lie on different sides
     count: int
 
 
@@ -211,17 +210,18 @@ def crossings(ctx, p, M):
 
     ``M`` is one of ``ctx.mirrors``. A run is a maximal stretch of the loop
     inside the mirror region; it is a crossing when its two flanking vertices
-    lie in different complement components. The loop is scanned cyclically
-    so a run through the basepoint counts once.
+    lie on different sides of the region. The loop is scanned cyclically so
+    a run through the basepoint counts once. A flank that no dual edge joins
+    to its run is a ``ValueError``: the loop is not an edge path.
     """
-    if not ctx.separation[M.index].separates:
+    if not ctx.separates[M.index]:
         raise NonSeparatingMirror(f"mirror {M.index} does not separate")
     if not is_loop(p):
         raise ValueError("crossings are counted on loops")
-    dm = ctx.regions[M.index]
+    region, sides = M.cells, ctx.sides[M.index]
     core = p[:-1] or p
     n = len(core)
-    inside = [v in dm.vertices for v in core]
+    inside = [v in region for v in core]
     if all(inside) or not any(inside):
         return CrossingProfile(M.index, (), (), 0)
     start = next(i for i in range(n) if not inside[i])
@@ -234,10 +234,12 @@ def crossings(ctx, p, M):
         elif run:
             runs.append(tuple(run))
             run = []
-    flags = tuple(
-        dm.component_of[core[(r[0] - 1) % n]] != dm.component_of[core[(r[-1] + 1) % n]]
-        for r in runs
-    )
+    try:
+        flags = tuple(
+            sides[core[(r[0] - 1) % n]] != sides[core[(r[-1] + 1) % n]] for r in runs
+        )
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]} is not joined to the mirror region") from None
     return CrossingProfile(M.index, tuple(runs), flags, sum(flags))
 
 
@@ -441,8 +443,8 @@ def minimal_bridge(ctx, p):
     """
     p = tuple(p)
     found = []
-    for M, dm in zip(ctx.mirrors, ctx.regions):
-        visits = [i for i, v in enumerate(p) if v in dm.vertices]
+    for M in ctx.mirrors:
+        visits = [i for i, v in enumerate(p) if v in M.cells]
         for a, b in zip(visits, visits[1:]):
             if b > a + 1:
                 found.append((b, -a, M.index))
@@ -480,10 +482,10 @@ def project_bridge(ctx, q, M):
     """
     D = ctx.D
     q = check_edge_path(D, q)
-    dm = ctx.regions[M.index]
-    if q[0] not in dm.vertices or q[-1] not in dm.vertices:
+    region = M.cells
+    if q[0] not in region or q[-1] not in region:
         raise NotABridge("bridge endpoints must lie in the mirror region")
-    if all(v in dm.vertices for v in q):
+    if all(v in region for v in q):
         raise NotABridge("the path lies inside the mirror region")
 
     relevant = [
@@ -523,7 +525,7 @@ def project_bridge(ctx, q, M):
         if a != b and not D.adjacent(a, b):
             raise InternalError("projection steps are neither equal nor adjacent")
     for v in image:
-        if v not in dm.vertices:
+        if v not in region:
             raise InternalError("projection left the mirror region")
     if image[0] != q[0] or image[-1] != q[-1]:
         raise InternalError("projection moved a bridge endpoint")

@@ -11,8 +11,10 @@ subset of each face with their maximal faces by pairwise containment, every
 cell's subcells for hyperplane carriers, networkx clique enumeration for
 flagness, the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
-per cut for chambers, the sublinks of every dual vertex checked for
-flagness, and the folding search recursing once per parallelism class.
+per cut for chambers, every complement component of a mirror region over
+every dual vertex, the sublinks of every dual vertex checked for
+flagness, the folding search recursing once per parallelism class, and
+folding verification reading each corner's label bits from its string.
 Differential tests compare the library against them.
 """
 
@@ -35,7 +37,7 @@ from cubemill.complexes import (
 from cubemill.curvature import is_flag as library_is_flag
 from cubemill.dual import _verdict
 from cubemill.errors import CellNotFound
-from cubemill.folding import _DSU, parallelism_classes
+from cubemill.folding import _DSU, FoldingObstruction, parallelism_classes
 
 
 def framings(X, M):
@@ -334,6 +336,30 @@ def chambers_avoiding(X, cut):
     return tuple(tuple(grouped[root]) for root in sorted(grouped))
 
 
+def complement_components(D, M):
+    """The complement components of a mirror region in the dual skeleton.
+
+    Returns the components, frozensets of the dual vertices outside the
+    region joined by dual edges with both ends outside, numbered by their
+    least vertex, and the map from every such vertex to its component.
+    """
+    adj = D.skeleton()
+    components = []
+    component_of = {}
+    for start in sorted(D.complex.vertices):
+        if start in M.cells or start in component_of:
+            continue
+        component_of[start] = len(components)
+        comp = [start]
+        for v in comp:
+            for w in adj[v]:
+                if w not in M.cells and w not in component_of:
+                    component_of[w] = len(components)
+                    comp.append(w)
+        components.append(frozenset(comp))
+    return tuple(components), component_of
+
+
 def tree_edges(Y, mirror_list, i):
     """(mirror index, chamber position) incidences of coordinate ``i``, pair by pair."""
     mine = [M for M in mirror_list if M.coordinate == i]
@@ -425,6 +451,36 @@ def verify_dual_axioms(D):
     checks.append(_verdict("interval-complete", bad))
 
     return CheckReport(tuple(checks))
+
+
+def verify_folding(X, labels):
+    """First obstruction to a folding, with each cube corner's label read as
+    a binary string (coordinate 0 least significant)."""
+    for cid in sorted(X.cells):
+        cube = X.cells[cid]
+        k = cube.dim
+        if k == 0:
+            continue
+        corner_labels = [tuple(labels[v]) for v in cube.corners]
+        if k == 1:
+            a, b = corner_labels
+            if sum(x != y for x, y in zip(a, b)) != 1:
+                return FoldingObstruction(
+                    "edge", cid, f"endpoint labels {a} and {b} do not flip exactly one coordinate"
+                )
+            continue
+        bits = [int("".join(map(str, reversed(c))), 2) for c in corner_labels]
+        if len(set(bits)) != len(bits):
+            return FoldingObstruction("cube", cid, "corner labels repeat")
+        xors = {b ^ bits[0] for b in bits}
+        span = 0
+        for x in xors:
+            span |= x
+        if bin(span).count("1") != k or len(xors) != 1 << k:
+            return FoldingObstruction(
+                "cube", cid, f"corner labels do not form a {k}-face of the target cube"
+            )
+    return None
 
 
 def find_folding(X):

@@ -143,6 +143,35 @@ def test_seeded_contraction_suite_passes_on_a_grid():
     assert doc["max_split_depth"] >= 0
 
 
+def test_contraction_suite_on_a_point_takes_constant_loops(tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text('{"kind": "cubical", "maximal": [[0]]}')
+    r = run("contract", "--in", str(path))
+    assert r.exit_code == 0
+    assert payload(r) == {"loops": 100, "max_split_depth": 0, "ok": True, "seed": 0}
+
+
+def test_contraction_suite_on_an_edge_beside_a_point(tmp_path):
+    text = '{"kind": "cubical", "maximal": [[0, 1], [2]]}'
+    D = build_dual(parse_complex(text))
+    rng = random.Random(0)
+    # the seeded suite draws the isolated vertex, whose loop is constant
+    assert any(len(random_loop(D, rng)) == 1 for _ in range(100))
+    path = tmp_path / "edge_and_point.json"
+    path.write_text(text)
+    r = run("contract", "--in", str(path))
+    assert r.exit_code == 0
+    assert payload(r)["ok"] is True
+
+
+def test_contraction_suite_on_the_empty_complex_is_a_usage_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind": "cubical", "maximal": []}')
+    r = run("contract", "--in", str(path))
+    assert r.exit_code == 2
+    assert payload(r)["error"] == "CellNotFound"
+
+
 def test_bad_loop_text_is_a_usage_error():
     r = run("contract", "--fixture", "sq1", "--loop", "0,zebra,0")
     assert r.exit_code == 2
@@ -404,6 +433,23 @@ def test_gromov_without_a_coloring_subdivides_first(tmp_path):
     doc = payload(r)
     assert doc["counts"]["2"] == 72
     assert doc["tiles"] == 6
+
+
+def test_gromov_wants_a_simplicial_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3]]}')
+    r = run("gromov", "--in", str(path))
+    assert r.exit_code == 2
+    doc = payload(r)
+    assert doc["error"] == "FormatError" and "'kind'" in doc["detail"]
+
+
+def test_gromov_refuses_the_empty_complex(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind": "simplicial", "maximal": []}')
+    r = run("gromov", "--in", str(path))
+    assert r.exit_code == 1
+    assert payload(r)["error"] == "UnsupportedDimension"
 
 
 def test_gromov_artifact_is_nonpositively_curved(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -49,6 +50,29 @@ def test_folding_rejects_non_injective_square():
     for v in X.vertices:
         labels.setdefault(v, (0, 1) if v % 2 else (1, 0))
     assert verify_folding(X, labels) is not None
+
+
+def test_verify_folding_matches_string_bits_on_every_edge_labelling_of_a_cube():
+    # every labelling of the 3-cube whose edges flip one coordinate each
+    X = CubicalComplex.from_maximal_cells([list(range(8))])
+    edges = [c.corners for c in X.cells.values() if c.dim == 1]
+    labellings = [{}]
+    for v in X.vertices:
+        nbrs = [u for e in edges if v in e for u in e if u != v and u < v]
+        labellings = [
+            {**lab, v: c}
+            for lab in labellings
+            for c in product((0, 1), repeat=3)
+            if all(sum(x != y for x, y in zip(lab[u], c)) == 1 for u in nbrs)
+        ]
+    witnesses = set()
+    for lab in labellings:
+        ob = verify_folding(X, lab)
+        assert ob == reference.verify_folding(X, lab), lab
+        witnesses.add(ob and ob.cell)
+    # valid foldings, and squares collapsed in several positions
+    assert None in witnesses and len(witnesses) > 2
+    assert witnesses - {None} <= set(X.by_dim[2])
 
 
 def test_missing_label_raises():

@@ -92,6 +92,12 @@ def test_dimension_cap_applies_to_input():
         gromov_hyperbolize(K)
 
 
+def test_the_empty_complex_has_no_hyperbolization():
+    for labels in (None, {}):
+        with pytest.raises(UnsupportedDimension):
+            gromov_hyperbolize(SimplicialComplex([]), labels)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 

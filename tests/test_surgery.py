@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 import oracle
+import reference
 from cubemill.complexes import CubicalComplex
 from cubemill.errors import (
     NoCrossing,
@@ -15,7 +16,7 @@ from cubemill.errors import (
     Unsupported,
 )
 from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names, strip
-from cubemill.dual import build_dual, dual_mirror, tops_containing
+from cubemill.dual import build_dual, tops_containing
 from cubemill.folding import find_folding
 from cubemill.formats import parse_certificate, serialize_certificate
 from cubemill.surgery import (
@@ -169,6 +170,43 @@ def test_crossings_take_loops_only():
         assert all(crossings(ctx, (v,), M).count == 0 for M in ctx.mirrors)
 
 
+def test_crossings_refuse_a_path_that_skips_off_the_region():
+    ctx = _ctx("grid2")
+    M = ctx.mirrors[0]
+    v = min(M.cells)
+    # a vertex off the region that no dual edge joins to it
+    far = min(
+        u for u in ctx.D.complex.vertices if u not in M.cells and u not in ctx.sides[M.index]
+    )
+    with pytest.raises(ValueError):
+        crossings(ctx, (far, v, far), M)
+
+
+def _side_cases():
+    for name in FIXTURE_NAMES:
+        yield name, _ctx(name)
+    for name, build in _LARGER.items():
+        X = build()
+        yield name, surgery_context(build_dual(X), find_folding(X))
+
+
+def test_sides_label_each_flank_by_its_complement_component():
+    for name, ctx in _side_cases():
+        adj = ctx.D.skeleton()
+        for M in ctx.mirrors:
+            sides = ctx.sides[M.index]
+            if not ctx.separates[M.index]:
+                assert sides is None, (name, M.index)
+                continue
+            flank = sorted({w for v in M.cells for w in adj[v] if w not in M.cells})
+            _components, component_of = reference.complement_components(ctx.D, M)
+            least = {}
+            for v in flank:
+                least.setdefault(component_of[v], v)
+            assert sides == {v: least[component_of[v]] for v in flank}, (name, M.index)
+    assert all(sides is None for sides in _ctx("torus4").sides)
+
+
 def test_short_reduced_loops_never_cross():
     # a backtrack-free loop of length <= 4 bounds a square or an edge, so it
     # stays in a tile; with backtracks a length-4 wedge can cross a mirror
@@ -192,9 +230,10 @@ def test_degenerate_short_wedge_crosses_the_spine():
         u for u in D.complex.vertices if D.adjacent(v, u) and u not in spine.cells
     )
     a, b = off[0], off[-1]
-    assert dual_mirror(D, spine).component_of[
-        min(tops_containing(D, {a}))
-    ] != dual_mirror(D, spine).component_of[min(tops_containing(D, {b}))]
+    _components, component_of = reference.complement_components(D, spine)
+    assert component_of[min(tops_containing(D, {a}))] != component_of[
+        min(tops_containing(D, {b}))
+    ]
     p = (a, v, b, v, a)
     assert crossings(_ctx(name), p, spine).count == 2
     assert _strip_backtracks(p) == (a,)
@@ -260,20 +299,19 @@ def _crossing_loop(name, rng, max_len=10):
 
 def test_minimal_bridge_is_minimal():
     name = "grid2"
-    D = dual_of(name)
     ml = mirror_list(name)
     rng = random.Random(21)
     for _ in range(20):
         p = _crossing_loop(name, rng)
         br = minimal_bridge(_ctx(name), p)
         M = ml[br.support_index]
-        region = dual_mirror(D, M).vertices
+        region = M.cells
         assert br.path[0] in region and br.path[-1] in region
         assert any(v not in region for v in br.path)
         # no proper subpath is itself a bridge over any mirror
         inner = br.path[1:-1]
         for N in ml:
-            reg = dual_mirror(D, N).vertices
+            reg = N.cells
             for i in range(len(inner)):
                 for j in range(i + 1, len(inner)):
                     sub = inner[i : j + 1]
@@ -292,8 +330,8 @@ def _reference_minimal_bridge(ctx, p):
     length. None when the path has no bridge.
     """
     found = {}
-    for M, dm in zip(ctx.mirrors, ctx.regions):
-        inside = [v in dm.vertices for v in p]
+    for M in ctx.mirrors:
+        inside = [v in M.cells for v in p]
         for a in range(len(p)):
             for b in range(a + 1, len(p)):
                 if inside[a] and inside[b] and not all(inside[a : b + 1]):
@@ -342,7 +380,7 @@ def test_no_bridge_inside_mirror_region():
     D = dual_of(name)
     ml = mirror_list(name)
     M = ml[0]
-    region = sorted(dual_mirror(D, M).vertices)
+    region = sorted(M.cells)
     a = region[0]
     b = next(v for v in region if D.adjacent(a, v))
     with pytest.raises(NotABridge):
