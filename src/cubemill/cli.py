@@ -9,6 +9,7 @@ honest refusal, 2 usage or parse error.
 
 import random
 import sys
+from functools import wraps
 from pathlib import Path
 
 import click
@@ -51,15 +52,19 @@ def _emit(payload, code=0, out=None, artifact=None):
     sys.exit(code)
 
 
-def _run(fn):
-    try:
-        fn()
-    except click.UsageError:
-        raise
-    except USAGE_ERRORS as e:
-        _emit({"error": type(e).__name__, "detail": str(e)}, code=2)
-    except CubemillError as e:
-        _emit({"error": type(e).__name__, "detail": str(e)}, code=1)
+def _reporting(command):
+    """Report each ``CubemillError`` as JSON: exit 2 for ``USAGE_ERRORS``, else 1."""
+
+    @wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except USAGE_ERRORS as e:
+            _emit({"error": type(e).__name__, "detail": str(e)}, code=2)
+        except CubemillError as e:
+            _emit({"error": type(e).__name__, "detail": str(e)}, code=1)
+
+    return run
 
 
 def _fixture(name):
@@ -129,46 +134,39 @@ def main():
 @main.command()
 @_fixture_opt
 @_in_opt
+@_reporting
 def validate(fixture_name, in_path):
     """Check admissibility of a complex and report the findings."""
-
-    def go():
-        try:
-            X, _labels = _load_complex(fixture_name, in_path)
-        except NotAdmissible as e:
-            report = e.args[0]
-            if not isinstance(report, ValidationReport):
-                finding = Finding("NotAdmissible", (), str(report))
-                report = ValidationReport((finding,))
-            _emit(report.to_payload(), code=1)
-            return
-        report = verify_cw(X)
-        payload = report.to_payload()
-        payload["kind"] = X.kind
-        payload["counts"] = _counts(X)
-        _emit(payload, code=0 if report.ok else 1)
-
-    _run(go)
+    try:
+        X, _labels = _load_complex(fixture_name, in_path)
+    except NotAdmissible as e:
+        report = e.args[0]
+        if not isinstance(report, ValidationReport):
+            finding = Finding("NotAdmissible", (), str(report))
+            report = ValidationReport((finding,))
+        _emit(report.to_payload(), code=1)
+    report = verify_cw(X)
+    payload = report.to_payload()
+    payload["kind"] = X.kind
+    payload["counts"] = _counts(X)
+    _emit(payload, code=0 if report.ok else 1)
 
 
 @main.command("barsub")
 @_fixture_opt
 @_in_opt
 @_out_opt
+@_reporting
 def barsub_cmd(fixture_name, in_path, out):
     """Barycentric subdivision; the artifact is a simplicial complex file."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path, simplicial_ok=True)
-        B = barsub(X)
-        artifact = formats.serialize_complex(B)
-        payload = {
-            "counts": _counts(B),
-            "dim": B.dim,
-        }
-        _emit(payload, out=out, artifact=artifact)
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path, simplicial_ok=True)
+    B = barsub(X)
+    artifact = formats.serialize_complex(B)
+    payload = {
+        "counts": _counts(B),
+        "dim": B.dim,
+    }
+    _emit(payload, out=out, artifact=artifact)
 
 
 @main.command()
@@ -176,21 +174,18 @@ def barsub_cmd(fixture_name, in_path, out):
 @_in_opt
 @_folding_opt
 @_out_opt
+@_reporting
 def fold(fixture_name, in_path, folding_path, out):
     """Find a folding, or verify one supplied with --folding."""
-
-    def go():
-        X, own = _load_complex(fixture_name, in_path)
-        labels, source = _resolve_labels(X, own, folding_path)
-        artifact = formats.serialize_folding(labels)
-        payload = {
-            "ok": True,
-            "source": source,
-            "labels": formats.folding_rows(labels),
-        }
-        _emit(payload, out=out, artifact=artifact)
-
-    _run(go)
+    X, own = _load_complex(fixture_name, in_path)
+    labels, source = _resolve_labels(X, own, folding_path)
+    artifact = formats.serialize_folding(labels)
+    payload = {
+        "ok": True,
+        "source": source,
+        "labels": formats.folding_rows(labels),
+    }
+    _emit(payload, out=out, artifact=artifact)
 
 
 @main.command()
@@ -198,160 +193,139 @@ def fold(fixture_name, in_path, folding_path, out):
 @_folding_opt
 @click.option("--verify", "do_verify", is_flag=True, default=False)
 @_out_opt
+@_reporting
 def gromov(in_path, folding_path, do_verify, out):
     """Hyperbolize a simplicial complex; the artifact is the result complex."""
-
-    def go():
-        if in_path is None:
-            raise click.UsageError("gromov wants --in with a simplicial complex file")
-        K = formats.parse_complex(Path(in_path).read_text())
-        if not isinstance(K, SimplicialComplex):
-            raise FormatError("gromov wants a simplicial complex", field="kind")
-        labels = None
-        if folding_path is not None:
-            labels = formats.parse_folding(Path(folding_path).read_text())
-        r = gromov_hyperbolize(K, labels)
-        payload = {
-            "counts": _counts(r.complex),
-            "folding": formats.folding_rows(r.folding),
-            "tiles": len(r.tiles),
-        }
-        code = 0
-        if do_verify:
-            report = verify_gromov_properties(r)
-            payload["checks"] = report.to_payload()["checks"]
-            code = 0 if report.ok else 1
-        _emit(payload, code=code, out=out, artifact=formats.serialize_complex(r.complex))
-
-    _run(go)
+    if in_path is None:
+        raise click.UsageError("gromov wants --in with a simplicial complex file")
+    K = formats.parse_complex(Path(in_path).read_text())
+    if not isinstance(K, SimplicialComplex):
+        raise FormatError("gromov wants a simplicial complex", field="kind")
+    labels = None
+    if folding_path is not None:
+        labels = formats.parse_folding(Path(folding_path).read_text())
+    r = gromov_hyperbolize(K, labels)
+    payload = {
+        "counts": _counts(r.complex),
+        "folding": formats.folding_rows(r.folding),
+        "tiles": len(r.tiles),
+    }
+    code = 0
+    if do_verify:
+        report = verify_gromov_properties(r)
+        payload["checks"] = report.to_payload()["checks"]
+        code = 0 if report.ok else 1
+    _emit(payload, code=code, out=out, artifact=formats.serialize_complex(r.complex))
 
 
 @main.command()
 @_fixture_opt
 @_in_opt
+@_reporting
 def links(fixture_name, in_path):
     """Per-vertex link report: simplicial and flag verdicts."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path)
-        rows = []
-        clean = True
-        for v in X.vertices:
-            lk = link(X, v)
-            flag_ok, witness = is_flag(lk.complex)
-            clean = clean and lk.simplicial and flag_ok
-            rows.append(
-                {
-                    "vertex": v,
-                    "simplicial": lk.simplicial,
-                    "flag": flag_ok,
-                    "witness": sorted(witness) if witness else [],
-                    "counts": _counts(lk.complex),
-                }
-            )
-        _emit({"ok": clean, "links": rows}, code=0 if clean else 1)
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path)
+    rows = []
+    clean = True
+    for v in X.vertices:
+        lk = link(X, v)
+        flag_ok, witness = is_flag(lk.complex)
+        clean = clean and lk.simplicial and flag_ok
+        rows.append(
+            {
+                "vertex": v,
+                "simplicial": lk.simplicial,
+                "flag": flag_ok,
+                "witness": sorted(witness) if witness else [],
+                "counts": _counts(lk.complex),
+            }
+        )
+    _emit({"ok": clean, "links": rows}, code=0 if clean else 1)
 
 
 @main.command("check-npc")
 @_fixture_opt
 @_in_opt
+@_reporting
 def check_npc_cmd(fixture_name, in_path):
     """Link condition for nonpositive curvature."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path)
-        report = check_npc(X)
-        _emit(report.to_payload(), code=0 if report.ok else 1)
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path)
+    report = check_npc(X)
+    _emit(report.to_payload(), code=0 if report.ok else 1)
 
 
 @main.command("hyperplanes")
 @_fixture_opt
 @_in_opt
 @_folding_opt
+@_reporting
 def hyperplanes_cmd(fixture_name, in_path, folding_path):
     """Edge classes under square opposition, with folding coordinates."""
-
-    def go():
-        X, own = _load_complex(fixture_name, in_path)
-        labels, _source = _resolve_labels(X, own, folding_path)
-        rows = []
-        ok = True
-        for hp in hyperplanes(X):
-            row = hp.to_payload()
-            try:
-                row["coordinate"] = hyperplane_coordinate(X, labels, hp)
-            except ValueError as e:
-                row["coordinate"] = None
-                row["error"] = str(e)
-                ok = False
-            rows.append(row)
-        _emit({"ok": ok, "hyperplanes": rows}, code=0 if ok else 1)
-
-    _run(go)
+    X, own = _load_complex(fixture_name, in_path)
+    labels, _source = _resolve_labels(X, own, folding_path)
+    rows = []
+    ok = True
+    for hp in hyperplanes(X):
+        row = hp.to_payload()
+        try:
+            row["coordinate"] = hyperplane_coordinate(X, labels, hp)
+        except ValueError as e:
+            row["coordinate"] = None
+            row["error"] = str(e)
+            ok = False
+        rows.append(row)
+    _emit({"ok": ok, "hyperplanes": rows}, code=0 if ok else 1)
 
 
 @main.command("special-check")
 @_fixture_opt
 @_in_opt
+@_reporting
 def special_check(fixture_name, in_path):
     """Hyperplane pathology scan: self-intersection and osculation."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path)
-        report = check_special(X)
-        _emit(report.to_payload(), code=0 if report.ok else 1)
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path)
+    report = check_special(X)
+    _emit(report.to_payload(), code=0 if report.ok else 1)
 
 
 @main.command("mirrors")
 @_fixture_opt
 @_in_opt
 @_folding_opt
+@_reporting
 def mirrors_cmd(fixture_name, in_path, folding_path):
     """Mirror listing with separation verdicts."""
-
-    def go():
-        X, own = _load_complex(fixture_name, in_path)
-        labels, _source = _resolve_labels(X, own, folding_path)
-        rows = []
-        for M in mirrors(X, labels):
-            sep = mirror_separates(X, M)
-            row = M.to_payload()
-            row["separates"] = sep.separates
-            row["components"] = sep.n_components
-            row["framings"] = sep.framing_count
-            rows.append(row)
-        _emit({"mirrors": rows})
-
-    _run(go)
+    X, own = _load_complex(fixture_name, in_path)
+    labels, _source = _resolve_labels(X, own, folding_path)
+    rows = []
+    for M in mirrors(X, labels):
+        sep = mirror_separates(X, M)
+        row = M.to_payload()
+        row["separates"] = sep.separates
+        row["components"] = sep.n_components
+        row["framings"] = sep.framing_count
+        rows.append(row)
+    _emit({"mirrors": rows})
 
 
 @main.command()
 @_fixture_opt
 @_in_opt
 @_out_opt
+@_reporting
 def dual(fixture_name, in_path, out):
     """Dual complex with height axioms; the artifact is the dual complex."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path)
-        D = build_dual(X)
-        report = verify_dual_axioms(D)
-        payload = D.to_payload()
-        payload.update(report.to_payload())
-        _emit(
-            payload,
-            code=0 if report.ok else 1,
-            out=out,
-            artifact=formats.serialize_complex(D.complex),
-        )
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path)
+    D = build_dual(X)
+    report = verify_dual_axioms(D)
+    payload = D.to_payload()
+    payload.update(report.to_payload())
+    _emit(
+        payload,
+        code=0 if report.ok else 1,
+        out=out,
+        artifact=formats.serialize_complex(D.complex),
+    )
 
 
 @main.command()
@@ -362,63 +336,55 @@ def dual(fixture_name, in_path, out):
 @click.option("--verify", "do_verify", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0)
 @_out_opt
+@_reporting
 def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, out):
     """Contract a loop in the dual complex, emitting a certificate.
 
     Without --loop, runs a seeded suite of 100 random loops and reports the
     aggregate outcome.
     """
-
-    def go():
-        X, own = _load_complex(fixture_name, in_path)
-        labels, _source = _resolve_labels(X, own, folding_path)
-        D = build_dual(X)
-        loop = _parse_loop(loop_text)
-        if loop is None:
-            rng = random.Random(seed)
-            depth_max = 0
-            for _ in range(100):
-                p = random_loop(D, rng)
-                cert = contract_loop(D, p, labels)
-                if not verify_certificate(D, p, cert):
-                    _emit({"ok": False, "seed": seed, "loop": list(p)}, code=1)
-                    return
-                # split nesting depth, on an explicit stack
-                todo = [(cert, 0)]
-                while todo:
-                    c, d = todo.pop()
-                    if isinstance(c, Split):
-                        todo += ((c.left, d + 1), (c.right, d + 1))
-                    else:
-                        depth_max = max(depth_max, d)
-            _emit({"ok": True, "loops": 100, "seed": seed, "max_split_depth": depth_max})
-            return
-        try:
-            p = check_edge_path(D, loop)
-        except ValueError as e:
-            _emit({"error": "BadLoop", "detail": str(e)}, code=2)
-            return
-        if not is_loop(p):
-            detail = f"only loops contract: the path starts at {p[0]} and ends at {p[-1]}"
-            _emit({"error": "BadLoop", "detail": detail}, code=2)
-            return
-        cert = contract_loop(D, p, labels)
-        ctx = surgery_context(D, labels)
-        mu = sum(crossings(ctx, p, M).count for M in ctx.mirrors)
-        payload = {
-            "ok": True,
-            "loop": list(p),
-            "length": len(p) - 1,
-            "crossings": mu,
-        }
-        if do_verify:
-            payload["verified"] = verify_certificate(D, p, cert)
-            if not payload["verified"]:
-                _emit(payload, code=1)
-                return
-        _emit(payload, out=out, artifact=formats.serialize_certificate(cert))
-
-    _run(go)
+    X, own = _load_complex(fixture_name, in_path)
+    labels, _source = _resolve_labels(X, own, folding_path)
+    D = build_dual(X)
+    loop = _parse_loop(loop_text)
+    if loop is None:
+        rng = random.Random(seed)
+        depth_max = 0
+        for _ in range(100):
+            p = random_loop(D, rng)
+            cert = contract_loop(D, p, labels)
+            if not verify_certificate(D, p, cert):
+                _emit({"ok": False, "seed": seed, "loop": list(p)}, code=1)
+            # split nesting depth, on an explicit stack
+            todo = [(cert, 0)]
+            while todo:
+                c, d = todo.pop()
+                if isinstance(c, Split):
+                    todo += ((c.left, d + 1), (c.right, d + 1))
+                else:
+                    depth_max = max(depth_max, d)
+        _emit({"ok": True, "loops": 100, "seed": seed, "max_split_depth": depth_max})
+    try:
+        p = check_edge_path(D, loop)
+    except ValueError as e:
+        _emit({"error": "BadLoop", "detail": str(e)}, code=2)
+    if not is_loop(p):
+        detail = f"only loops contract: the path starts at {p[0]} and ends at {p[-1]}"
+        _emit({"error": "BadLoop", "detail": detail}, code=2)
+    cert = contract_loop(D, p, labels)
+    ctx = surgery_context(D, labels)
+    mu = sum(crossings(ctx, p, M).count for M in ctx.mirrors)
+    payload = {
+        "ok": True,
+        "loop": list(p),
+        "length": len(p) - 1,
+        "crossings": mu,
+    }
+    if do_verify:
+        payload["verified"] = verify_certificate(D, p, cert)
+        if not payload["verified"]:
+            _emit(payload, code=1)
+    _emit(payload, out=out, artifact=formats.serialize_certificate(cert))
 
 
 @main.command()
@@ -428,39 +394,34 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
 @click.option(
     "--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True
 )
+@_reporting
 def verify(fixture_name, in_path, loop_text, cert_path):
     """Replay a contraction certificate without trusting its producer."""
-
-    def go():
-        X, _labels = _load_complex(fixture_name, in_path)
-        D = build_dual(X)
-        loop = _parse_loop(loop_text)
-        cert = formats.parse_certificate(Path(cert_path).read_text())
-        valid = verify_certificate(D, loop, cert)
-        _emit({"valid": valid}, code=0 if valid else 1)
-
-    _run(go)
+    X, _labels = _load_complex(fixture_name, in_path)
+    D = build_dual(X)
+    loop = _parse_loop(loop_text)
+    cert = formats.parse_certificate(Path(cert_path).read_text())
+    valid = verify_certificate(D, loop, cert)
+    _emit({"valid": valid}, code=0 if valid else 1)
 
 
 @main.command()
 @_fixture_opt
 @_in_opt
 @_folding_opt
+@_reporting
 def tree(fixture_name, in_path, folding_path):
     """Mirror/chamber decomposition per folding coordinate, with verdicts."""
-
-    def go():
-        X, own = _load_complex(fixture_name, in_path)
-        labels, _source = _resolve_labels(X, own, folding_path)
-        payload = {"trees": [t.to_payload() for t in build_all_trees(X, labels)]}
-        _emit(payload)
-
-    _run(go)
+    X, own = _load_complex(fixture_name, in_path)
+    labels, _source = _resolve_labels(X, own, folding_path)
+    payload = {"trees": [t.to_payload() for t in build_all_trees(X, labels)]}
+    _emit(payload)
 
 
 @main.command("fixture")
 @click.argument("name", required=False)
 @_out_opt
+@_reporting
 def fixture_cmd(name, out):
     """Describe a built-in fixture, or list them all."""
 
@@ -473,16 +434,12 @@ def fixture_cmd(name, out):
             "simply_connected": f.simply_connected,
         }
 
-    def go():
-        if name is None:
-            _emit({"fixtures": [describe(fixture(n)) for n in FIXTURE_NAMES]})
-            return
-        f = _fixture(name)
-        payload = describe(f)
-        payload["labels"] = formats.folding_rows(f.labels)
-        _emit(payload, out=out, artifact=formats.serialize_complex(f.complex))
-
-    _run(go)
+    if name is None:
+        _emit({"fixtures": [describe(fixture(n)) for n in FIXTURE_NAMES]})
+    f = _fixture(name)
+    payload = describe(f)
+    payload["labels"] = formats.folding_rows(f.labels)
+    _emit(payload, out=out, artifact=formats.serialize_complex(f.complex))
 
 
 if __name__ == "__main__":

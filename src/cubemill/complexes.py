@@ -4,9 +4,10 @@ Cubes are stored with explicit identity: a cell is a ``Cube`` with an id, a
 corner array, and a facet list, not a bare vertex set. Two admissibility levels
 coexist:
 
-* strict: cubes are embedded and any two cells meet in at most one common
-  face. Raw corner-list input is validated at this level
-  (:func:`validate_cubical`) and cells are determined by their corner sets.
+* strict: cubes are embedded, any two cells meet in at most one common
+  face, and cells meeting in a common face are one cube on it. Raw
+  corner-list input is validated at this level (:func:`validate_cubical`)
+  and cells are determined by their corner sets.
 * relaxed: cubes are embedded and any two cells meet in a union of pairwise
   vertex-disjoint common faces (:func:`verify_cw`). Hyperbolization quotients
   live here; they contain doubled cells (distinct squares with identical
@@ -262,7 +263,14 @@ def validate_cubical(corner_lists):
         if A == B:
             continue  # already reported as a duplicate pair
         inter = frozenset(A) & frozenset(B)
-        if not (_is_face(A, inter) and _is_face(B, inter)):
+        if not (_is_face(A, inter) and _is_face(B, inter)) or (
+            # a face on 4 or more corners is not fixed by its corner set; the
+            # shared corners in position order list each cell's face in
+            # bitmask order, and the two faces must be one cube
+            len(inter) >= 4
+            and canonical_corner_array([v for v in A if v in inter])
+            != canonical_corner_array([v for v in B if v in inter])
+        ):
             findings.append(
                 Finding(
                     "NonFaceIntersection",
@@ -762,34 +770,27 @@ def barsub(X):
             f"barycentric subdivision needs {flags} maximal flags, over the cap {MAX_BARSUB_FLAGS}"
         )
     if isinstance(X, SimplicialComplex):
-        chains = []
+        tops = X.maximal
 
-        def grow(chain, face):
-            chains.append(tuple(chain))
-            # extend downward by one dimension at a time to enumerate flags
-            if len(face) == 1:
-                return
-            for v in sorted(face, key=name_key):
-                sub = face - {v}
-                grow([sub] + chain, sub)
+        def facets(f):
+            return [f - {v} for v in f] if len(f) > 1 else ()
 
-        for f in X.maximal:
-            grow([f], f)
-        # a chain is maximal when it runs from a vertex up to its maximal face
-        maximal = [frozenset(c) for c in chains if len(c[-1]) == len(c)]
-        return SimplicialComplex(maximal)
+    else:
+        tops = X.top_cells()
+
+        def facets(cid):
+            return set(X.cells[cid].facets)
+
+    # flags grow down one facet at a time; one that reaches a vertex is maximal
     chains = []
-
-    def grow(chain, cid):
-        cube = X.cells[cid]
-        if cube.dim == 0:
-            chains.append(frozenset(chain))
-            return
-        for f in sorted(set(cube.facets)):
-            grow(chain + [f], f)
-
-    for t in X.top_cells():
-        grow([t], t)
+    for t in tops:
+        todo = [(t,)]
+        while todo:
+            chain = todo.pop()
+            below = facets(chain[-1])
+            if not below:
+                chains.append(frozenset(chain))
+            todo += [chain + (f,) for f in below]
     return SimplicialComplex(chains)
 
 

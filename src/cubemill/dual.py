@@ -52,9 +52,6 @@ class DualComplex:
     def adjacent(self, u, v):
         return v in self.skeleton().get(u, ())
 
-    def neighbors(self, v):
-        return sorted(self.skeleton()[v])
-
     def square_by_corners(self, corners):
         """The dual square with the given corner set, or None."""
         if self._square_index is None:

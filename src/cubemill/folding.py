@@ -33,10 +33,14 @@ def _label_of(labels, v, n):
         lab = labels[v]
     except KeyError:
         raise UnlabeledVertex(f"vertex {v} has no label") from None
-    lab = tuple(lab)
-    if len(lab) != n or any(x not in (0, 1) for x in lab):
-        raise UnlabeledVertex(f"vertex {v} label {lab} is not a corner of the {n}-cube")
-    return lab
+    try:
+        lab = tuple(lab)
+    except TypeError:  # an integer label, as a simplicial folding has
+        pass
+    else:
+        if len(lab) == n and all(x in (0, 1) for x in lab):
+            return lab
+    raise UnlabeledVertex(f"vertex {v} label {lab} is not a corner of the {n}-cube")
 
 
 def verify_folding(X, labels):

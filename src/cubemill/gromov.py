@@ -56,7 +56,6 @@ class Assembly:
     cells: dict  # name -> (corners, facets)
     folding: dict  # vertex name -> bit tuple
     tiles: dict  # source top simplex -> tuple of cell names
-    provenance: dict  # name -> source face (frozenset of source vertices)
 
 
 def boundary_complex(m):
@@ -82,7 +81,6 @@ def assemble(K, labels):
     cells = {}
     folding = {}
     tiles = {}
-    provenance = {}
     for s in sorted(K.maximal, key=name_key):
         by_label = {labels[v]: v for v in s}
 
@@ -105,12 +103,11 @@ def assemble(K, labels):
                     raise InternalError(f"gluing collision at {nm!r}")
             else:
                 cells[nm] = entry
-                provenance[nm] = s if nm[0] == "i" else nm[1]
                 if len(entry[0]) == 1:
                     src = x if nm[0] == "i" else ("b", nm[2])
                     folding[nm] = mdl.folding[src]
         tiles[s] = tuple(names)
-    return Assembly(cells, folding, tiles, provenance)
+    return Assembly(cells, folding, tiles)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,14 @@ def framings(X, M):
 
 
 @lru_cache(maxsize=None)
-def _subface_sets(arr):
-    """All corner sets of faces of the cube with corner array ``arr`` (itself included)."""
-    k = array_dim(arr)
-    out = {frozenset(arr)}
-    for i in range(k):
+def _subfaces(arr):
+    """The faces of the cube with corner array ``arr`` (itself included): each
+    face's corner set mapped to its canonical corner array."""
+    out = {frozenset(arr): canonical_corner_array(arr)}
+    for i in range(array_dim(arr)):
         for s in (0, 1):
-            out |= _subface_sets(face_array(arr, i, s))
-    return frozenset(out)
+            out.update(_subfaces(face_array(arr, i, s)))
+    return out
 
 
 def validate_cubical(corner_lists):
@@ -96,7 +96,8 @@ def validate_cubical(corner_lists):
         inter = frozenset(A) & frozenset(B)
         if not inter:
             continue
-        if inter not in _subface_sets(A) or inter not in _subface_sets(B):
+        face = _subfaces(A).get(inter)
+        if face is None or face != _subfaces(B).get(inter):
             findings.append(
                 Finding(
                     "NonFaceIntersection",

@@ -252,6 +252,28 @@ def test_validate_reports_inadmissible_input(tmp_path):
     assert doc["findings"]
 
 
+def test_validate_reports_two_squares_on_one_corner_set(tmp_path):
+    path = tmp_path / "twosq.json"
+    path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 1, 3, 2]]}')
+    r = run("validate", "--in", str(path))
+    assert r.exit_code == 1
+    doc = payload(r)
+    assert doc["ok"] is False
+    assert [f["cells"] for f in doc["findings"]] == [[0, 1]]
+
+
+@pytest.mark.parametrize("sub", ["fold", "hyperplanes", "mirrors", "tree", "contract"])
+def test_integer_folding_labels_are_a_usage_error(tmp_path, sub):
+    path = tmp_path / "intlab.json"
+    path.write_text(json.dumps({"kind": "folding", "labels": [[v, 1] for v in range(9)]}))
+    r = run(sub, "--fixture", "grid2", "--folding", str(path))
+    assert r.exit_code == 2
+    assert payload(r) == {
+        "error": "UnlabeledVertex",
+        "detail": "vertex 0 label 1 is not a corner of the 2-cube",
+    }
+
+
 def test_validate_passes_every_fixture():
     for name in ("sq1", "grid2", "book3", "cube1", "torus4", "gdelta2", "sphere"):
         r = run("validate", "--fixture", name)

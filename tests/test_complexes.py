@@ -114,6 +114,23 @@ def test_two_squares_meeting_in_a_diagonal_rejected():
     assert any(f.kind == "NonFaceIntersection" for f in report.findings)
 
 
+@pytest.mark.parametrize(
+    "lists",
+    [
+        # two squares on the corners {0, 1, 2, 3}, with different diagonals
+        [(0, 1, 2, 3), (0, 1, 3, 2)],
+        # two 3-cubes whose shared square has its diagonals swapped
+        [tuple(range(8)), (0, 1, 3, 2, 8, 9, 10, 11)],
+    ],
+)
+def test_two_cells_on_one_corner_set_rejected(lists):
+    report = validate_cubical(lists)
+    assert [(f.kind, f.cells) for f in report.findings] == [("NonFaceIntersection", (0, 1))]
+    assert report == reference.validate_cubical(lists)
+    with pytest.raises(NotAdmissible):
+        CubicalComplex.from_maximal_cells(lists)
+
+
 def test_from_maximal_cells_raises_on_invalid():
     with pytest.raises(NotAdmissible):
         CubicalComplex.from_maximal_cells(doubled_square_lists())

@@ -87,6 +87,13 @@ def test_wrong_length_label_raises():
         verify_folding(X, {v: (0,) for v in X.vertices})
 
 
+def test_integer_label_raises():
+    # integer labels are the simplicial format; a cube corner is a bit tuple
+    X = fixture("sq1").complex
+    with pytest.raises(UnlabeledVertex, match="label 1 is not a corner"):
+        verify_folding(X, {v: 1 for v in X.vertices})
+
+
 # ---------------------------------------------------------------------------
 # search
 
