@@ -444,10 +444,11 @@ class CubicalComplex:
         for c in sorted(self.cells):
             for v in set(self.cells[c].corners):
                 self.cells_at_vertex[v].append(c)
+        # the ids of the cells that have a cell as a facet, ascending
         self.cofaces = {c: [] for c in self.cells}
         for c in sorted(self.cells):
-            for j, f in enumerate(self.cells[c].facets):
-                self.cofaces[f].append((c, j >> 1, j & 1))
+            for f in self.cells[c].facets:
+                self.cofaces[f].append(c)
         # edges by sorted corner pair; only doubled edges share a pair
         self._edges_at_pair = {}
         for e in self.by_dim.get(1, []):
@@ -482,27 +483,26 @@ class CubicalComplex:
         return all(self.cells[c].dim == n for c in self.top_cells())
 
     def is_boundaryless(self):
-        # every codimension-1 cell bounds exactly two top cells
-        n = self.dim
-        for c in self.by_dim.get(n - 1, []):
-            tops = [p for (p, _, _) in self.cofaces[c] if self.cells[p].dim == n]
-            if len(tops) != 2:
-                return False
-        return True
+        # every codimension-1 cell bounds exactly two top cells; the cofaces
+        # of a codimension-1 cell are cells of full dimension, so top cells
+        return all(len(self.cofaces[c]) == 2 for c in self.by_dim.get(self.dim - 1, []))
 
     def top_adjacency(self):
         """Top cell -> (codimension-1 cell, neighbouring top cell) pairs, kept.
 
-        Keys are every top cell in ascending order. Two top cells neighbour
-        through each codimension-1 face they share; a face of three top cells
-        gives each of them two pairs.
+        Keys are every top cell in ascending order. The top cells on one
+        codimension-1 face form a chain through it: each is linked to the
+        next in id order, so a face of k top cells gives k - 1 links, each
+        listed at both ends. A search that may cross the face still reaches
+        every top cell on it.
         """
         if self._top_adjacency is None:
             adj = {t: [] for t in self.top_cells()}
             for c in self.by_dim.get(self.dim - 1, []):
-                holders = [p for (p, _, _) in self.cofaces[c] if p in adj]
-                for a in holders:
-                    adj[a].extend((c, b) for b in holders if b != a)
+                holders = self.cofaces[c]
+                for a, b in zip(holders, holders[1:]):
+                    adj[a].append((c, b))
+                    adj[b].append((c, a))
             self._top_adjacency = adj
         return self._top_adjacency
 

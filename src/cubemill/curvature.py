@@ -108,7 +108,7 @@ def hyperplanes(X):
         above = set(edges)
         stack = list(edges)
         while stack:
-            for p, _i, _s in X.cofaces[stack.pop()]:
+            for p in X.cofaces[stack.pop()]:
                 if p not in above:
                     above.add(p)
                     stack.append(p)
@@ -186,32 +186,26 @@ def check_special(X):
         else:
             crossing_pairs.setdefault(tuple(sorted((h_a, h_b))), sq)
 
-    # osculation: same-vertex edge pairs with no common square
+    # osculation: same-vertex edge pairs with no common square; an
+    # inter-osculation keeps the first such pair of two crossing hyperplanes
     self_osc = []
-    inter_osc_candidates = {}
+    inter = {}
     for v in X.vertices:
         edges_at = [c for c in X.cells_at_vertex[v] if X.cells[c].dim == 1]
-        for i in range(len(edges_at)):
-            for j in range(i + 1, len(edges_at)):
-                e, e2 = edges_at[i], edges_at[j]
-                sq_e = {p for (p, _, _) in X.cofaces[e]}
-                sq_e2 = {p for (p, _, _) in X.cofaces[e2]}
-                if sq_e & sq_e2:
+        for i, e in enumerate(edges_at):
+            sq_e = set(X.cofaces[e])
+            for e2 in edges_at[i + 1 :]:
+                if not sq_e.isdisjoint(X.cofaces[e2]):
                     continue
                 if hp_of[e] == hp_of[e2]:
                     self_osc.append((hp_of[e], v, e, e2))
                 else:
                     key = tuple(sorted((hp_of[e], hp_of[e2])))
-                    inter_osc_candidates.setdefault(key, (v, e, e2))
-
-    inter = []
-    for key in sorted(inter_osc_candidates):
-        if key in crossing_pairs:
-            v, e, e2 = inter_osc_candidates[key]
-            inter.append((key[0], key[1], crossing_pairs[key], v, e, e2))
+                    if key in crossing_pairs and key not in inter:
+                        inter[key] = (*key, crossing_pairs[key], v, e, e2)
 
     return PathologyReport(
-        tuple(sorted(self_int)), tuple(sorted(self_osc)), tuple(sorted(inter))
+        tuple(sorted(self_int)), tuple(sorted(self_osc)), tuple(sorted(inter.values()))
     )
 
 

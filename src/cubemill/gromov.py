@@ -384,23 +384,16 @@ def verify_gromov_properties(result):
     n = K.dim
     checks = []
 
+    def check(name, ok, failure):
+        checks.append((name, "pass" if ok else "fail", "" if ok else failure))
+
     rep = verify_cw(X)
-    checks.append(
-        (
-            "cw-admissible",
-            "pass" if rep.ok else "fail",
-            "" if rep.ok else f"{len(rep.findings)} bad pairs",
-        )
-    )
+    check("cw-admissible", rep.ok, f"{len(rep.findings)} bad pairs")
     ok_dim = X.dim == n and X.is_homogeneous()
-    checks.append(
-        ("dimension-homogeneous", "pass" if ok_dim else "fail", f"dim {X.dim}")
-    )
+    checks.append(("dimension-homogeneous", "pass" if ok_dim else "fail", f"dim {X.dim}"))
 
     ob = verify_folding(X, result.folding)
-    checks.append(
-        ("foldable", "pass" if ob is None else "fail", "" if ob is None else str(ob))
-    )
+    check("foldable", ob is None, str(ob))
 
     mdl = model(n)
     bad_tiles = []
@@ -425,13 +418,7 @@ def verify_gromov_properties(result):
                 break
         if not good:
             bad_tiles.append(s)
-    checks.append(
-        (
-            "tiles-isomorphic",
-            "pass" if not bad_tiles else "fail",
-            "" if not bad_tiles else f"{len(bad_tiles)} tiles differ from the model",
-        )
-    )
+    check("tiles-isomorphic", not bad_tiles, f"{len(bad_tiles)} tiles differ from the model")
 
     if n == 0:
         checks.append(("links-preserved", "pass", "links are empty"))
@@ -453,20 +440,12 @@ def verify_gromov_properties(result):
             b = _smoothed(_vertex_link_multigraph(X, img))
             if not nx.is_isomorphic(a, b):
                 bad_links.append((v, "links not homeomorphic"))
-        checks.append(
-            (
-                "links-preserved",
-                "pass" if not bad_links else "fail",
-                "" if not bad_links else f"{len(bad_links)} vertices differ",
-            )
-        )
+        check("links-preserved", not bad_links, f"{len(bad_links)} vertices differ")
     else:
         checks.append(("links-preserved", "n/a", "source links are not graphs"))
 
     if _simplicial_boundaryless(K):
-        checks.append(
-            ("boundaryless-preserved", "pass" if X.is_boundaryless() else "fail", "")
-        )
+        check("boundaryless-preserved", X.is_boundaryless(), "")
     else:
         checks.append(("boundaryless-preserved", "n/a", "source has boundary"))
 

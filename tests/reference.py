@@ -8,7 +8,8 @@ corner (or one scan of the cube's subcells), one corner-set face lookup per
 corner of each subdivision cube, closed with every facet array
 canonicalized again, links and simplicial complexes closed over every
 subset of each face with their maximal faces by pairwise containment, every
-cell's subcells for hyperplane carriers, networkx clique enumeration for
+cell's subcells for hyperplane carriers, every osculating pair of
+hyperplanes kept as a specialness candidate, networkx clique enumeration for
 flagness, the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
@@ -34,7 +35,7 @@ from cubemill.complexes import (
     link as library_link,
     name_key,
 )
-from cubemill.curvature import is_flag as library_is_flag
+from cubemill.curvature import PathologyReport, is_flag as library_is_flag
 from cubemill.dual import _verdict
 from cubemill.errors import CellNotFound
 from cubemill.folding import _DSU, FoldingObstruction, parallelism_classes
@@ -229,6 +230,54 @@ def hyperplane_carriers(X):
     return out
 
 
+def check_special(X):
+    """Hyperplane pathologies with every osculating pair of hyperplanes kept
+    as a candidate, filtered by the crossing pairs afterwards."""
+    hp_of = {
+        e: idx
+        for idx, edges in enumerate(parallelism_classes(X).values())
+        for e in edges
+    }
+
+    self_int = []
+    crossing_pairs = {}
+    for sq in X.by_dim.get(2, []):
+        f = X.cells[sq].facets
+        h_a = hp_of[f[0]]
+        h_b = hp_of[f[2]]
+        if h_a == h_b:
+            self_int.append((h_a, sq))
+        else:
+            crossing_pairs.setdefault(tuple(sorted((h_a, h_b))), sq)
+
+    self_osc = []
+    inter_osc_candidates = {}
+    for v in X.vertices:
+        edges_at = [c for c in X.cells_at_vertex[v] if X.cells[c].dim == 1]
+        for i in range(len(edges_at)):
+            for j in range(i + 1, len(edges_at)):
+                e, e2 = edges_at[i], edges_at[j]
+                sq_e = set(X.cofaces[e])
+                sq_e2 = set(X.cofaces[e2])
+                if sq_e & sq_e2:
+                    continue
+                if hp_of[e] == hp_of[e2]:
+                    self_osc.append((hp_of[e], v, e, e2))
+                else:
+                    key = tuple(sorted((hp_of[e], hp_of[e2])))
+                    inter_osc_candidates.setdefault(key, (v, e, e2))
+
+    inter = []
+    for key in sorted(inter_osc_candidates):
+        if key in crossing_pairs:
+            v, e, e2 = inter_osc_candidates[key]
+            inter.append((key[0], key[1], crossing_pairs[key], v, e, e2))
+
+    return PathologyReport(
+        tuple(sorted(self_int)), tuple(sorted(self_osc)), tuple(sorted(inter))
+    )
+
+
 def _edge_pairs(arr):
     """The corner pairs of the edges of a cube in the frame of ``arr``."""
     return {
@@ -328,7 +377,7 @@ def chambers_avoiding(X, cut):
     for cid in X.by_dim.get(X.dim - 1, []):
         if cid in cut:
             continue
-        holder = [p for (p, _, _) in X.cofaces[cid] if not X.cofaces[p]]
+        holder = [p for p in X.cofaces[cid] if not X.cofaces[p]]
         for other in holder[1:]:
             dsu.union(holder[0], other)
     grouped = {}

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -182,6 +183,20 @@ def test_self_osculation_detected():
     report = check_special(X)
     assert not report.ok
     assert report.self_osculations or report.inter_osculations
+
+
+def test_specialness_of_a_star_keeps_no_osculating_pair():
+    # every two of the 300 edges osculate at the hub, but no two of their
+    # hyperplanes cross a square, so none of the 44850 pairs is a candidate
+    X = CubicalComplex.from_maximal_cells([(0, i) for i in range(1, 301)])
+    tracemalloc.start()
+    try:
+        report = check_special(X)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1 << 20
 
 
 def test_pathology_payload_shape():

@@ -126,7 +126,7 @@ def test_properties_on_cone():
 def test_boundaryless_source_gives_boundaryless_result():
     X = fixture("sphere").complex
     for e in X.by_dim[1]:
-        squares = {c for (c, _i, _s) in X.cofaces[e] if X.cells[c].dim == 2}
+        squares = {c for c in X.cofaces[e] if X.cells[c].dim == 2}
         assert len(squares) == 2
 
 

@@ -31,7 +31,7 @@ from cubemill.complexes import (
     validate_cubical,
     verify_cw,
 )
-from cubemill.curvature import hyperplanes
+from cubemill.curvature import check_special, hyperplanes
 from cubemill.dual import DualComplex, build_dual, verify_dual_axioms
 from cubemill.errors import CellNotFound, NotAdmissible
 from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, strip
@@ -218,6 +218,28 @@ def test_stars_and_books_match_the_pairwise_definitions(name):
     if got.ok:
         Y = CubicalComplex.from_maximal_cells(lists)
         assert verify_cw(Y) == reference.verify_cw(Y)
+    # no cut, the hub or spine, and the cells of the first leaf or page
+    hub = {0} if name.startswith("star") else {0, 1}
+    for Z in (X, Y) if got.ok else (X,):
+        (spine,) = [c for c in Z.by_dim[Z.dim - 1] if set(Z.cells[c].corners) == hub]
+        for cut in (frozenset(), {spine}, Z.subcells(Z.top_cells()[0])):
+            assert chambers_avoiding(Z, cut) == reference.chambers_avoiding(Z, cut), cut
+        assert check_special(Z) == reference.check_special(Z)
+
+
+@pytest.mark.parametrize("n", (3, 40, 4000))
+def test_the_edges_of_a_star_form_a_chain_at_the_hub(n):
+    # n - 1 links through the hub, each listed at both ends; a clique of the
+    # n edges would list n(n - 1)
+    X = CubicalComplex.from_maximal_cells(_star(n))
+    adj = X.top_adjacency()
+    assert sum(len(links) for links in adj.values()) == 2 * (n - 1)
+    hub = X.zero_cell[0]
+    tops = X.top_cells()
+    for k, t in enumerate(tops):
+        assert adj[t] == [(hub, u) for u in tops[max(k - 1, 0) : k] + tops[k + 1 : k + 2]]
+    assert chambers_avoiding(X, ()) == (tuple(tops),)
+    assert chambers_avoiding(X, {hub}) == tuple((t,) for t in tops)
 
 
 def test_a_star_of_4000_edges_validates_and_is_cw():
@@ -549,18 +571,31 @@ def test_chambers_match_the_union_find_definition(name):
 
 
 def test_book_spine_joins_three_pages():
-    # the spine edge of book3 has three top cofaces; each page neighbours
-    # the other two through it
+    # the spine edge of book3 has three top cofaces; they form a chain
+    # through it, each page linked to its neighbours in id order
     X, _labels = case("book3")
     spine = [c for c in X.by_dim[1] if len(X.cofaces[c]) == 3]
     assert len(spine) == 1
     adj = X.top_adjacency()
     assert X.top_adjacency() is adj
-    for p, _i, _s in X.cofaces[spine[0]]:
-        assert sorted(u for c, u in adj[p] if c == spine[0]) == sorted(
-            q for q, _i, _s in X.cofaces[spine[0]] if q != p
-        )
+    pages = X.cofaces[spine[0]]
+    for k, p in enumerate(pages):
+        neighbours = pages[max(k - 1, 0) : k] + pages[k + 1 : k + 2]
+        assert [u for c, u in adj[p] if c == spine[0]] == neighbours
     assert len(chambers_avoiding(X, {spine[0]})) == 3
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cofaces_are_the_ids_of_the_cells_above(name):
+    X, _labels = case(name)
+    for c in X.cells:
+        assert X.cofaces[c] == [p for p in sorted(X.cells) if c in X.cells[p].facets]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_specialness_matches_the_candidate_definition(name):
+    X, _labels = case(name)
+    assert check_special(X) == reference.check_special(X)
 
 
 @pytest.mark.parametrize("name", CASES)
