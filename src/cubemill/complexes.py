@@ -569,7 +569,7 @@ class CubicalComplex:
         return self._edges_at(self.cell(cid), b)
 
     def _edges_at(self, cube, b):
-        # edges_at_corner for a cube at hand; link calls it once per cell
+        # edges_at_corner for a cube at hand; link_masks calls it once per cell
         corners = cube.corners
         v = corners[b]
         out = []
@@ -651,35 +651,57 @@ class LinkResult:
         return not self.bigons
 
 
-def link(X, v):
-    """Link of a vertex as a simplicial complex on the incident edge cells.
+def mask_bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
-    Each k-cube incident to ``v`` contributes the (k-1)-simplex of its k edges
-    at the corner holding ``v``. Two distinct cells inducing the same simplex
-    of dimension >= 1 are reported as a bigon; such links are not simplicial
-    and fail the curvature check.
+
+def link_masks(X, v):
+    """The link of a vertex as ``(edges, faces, bigons)``, faces as bitmasks.
+
+    Bit k stands for ``edges[k]``, the edges at ``v`` in id order. Each edge
+    is its own single-bit face (a doubled twin is not one of its subcells),
+    each cube of dimension >= 2 at ``v`` gives the mask of its edges at
+    ``v``, and ``faces`` is closed under nonempty subsets. Cells giving one
+    mask form a bigon; ``bigons`` lists their cell ids, ordered by edge ids.
     """
     if v not in X.zero_cell:
         raise CellNotFound(f"no vertex {v}")
+    cells = X.cells
+    edges = [c for c in X.cells_at_vertex[v] if cells[c].dim == 1]
+    bit = {e: 1 << k for k, e in enumerate(edges)}
     induced = {}
     for cid in X.cells_at_vertex[v]:
-        cube = X.cells[cid]
-        if cube.dim == 0:
+        cube = cells[cid]
+        if cube.dim < 2:
             continue
-        if cube.dim == 1:
-            # an edge at v is its own link vertex: a doubled twin is not one
-            # of its subcells, and an edge has no twisted frame
-            simplex = frozenset((cid,))
-        else:
-            # every cell at v has v as a corner
-            simplex = frozenset(X._edges_at(cube, cube.corners.index(v)))
-        induced.setdefault(simplex, []).append(cid)
-    doubled = [(s, cids) for s, cids in induced.items() if len(s) >= 2 and len(cids) > 1]
-    bigons = tuple(
-        tuple(sorted(cids)) for _s, cids in sorted(doubled, key=lambda kv: name_key(kv[0]))
-    )
-    sc = SimplicialComplex(induced.keys())
-    return LinkResult(v, sc, bigons)
+        # every cell at v has v as a corner
+        mask = sum(bit[e] for e in X._edges_at(cube, cube.corners.index(v)))
+        induced.setdefault(mask, []).append(cid)
+    faces, level = set(bit.values()), set(induced)
+    while level:  # a level at a time: the facets of the faces new to the last
+        faces |= level
+        below = set()
+        for f in level:
+            rest = f
+            while rest:
+                below.add(f ^ (rest & -rest))
+                rest &= rest - 1
+        level = below - faces
+    doubled = sorted((mask_bits(m), cids) for m, cids in induced.items() if len(cids) > 1)
+    return edges, faces, tuple(tuple(cids) for _bits, cids in doubled)
+
+
+def link(X, v):
+    """Link of a vertex as a simplicial complex on the incident edge cells,
+    read from :func:`link_masks`; a link with bigons is not simplicial."""
+    edges, faces, bigons = link_masks(X, v)
+    faces = (frozenset(edges[k] for k in mask_bits(f)) for f in faces)
+    return LinkResult(v, SimplicialComplex(faces), bigons)
 
 
 def all_links(X):

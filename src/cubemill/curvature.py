@@ -9,44 +9,48 @@ self-osculations and inter-osculations.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .complexes import SimplicialComplex, all_links
+from .complexes import SimplicialComplex, link_masks, mask_bits
 from .folding import _label_of, parallelism_classes
+
+
+def flag_failure(faces):
+    """None when every clique of the 1-skeleton of ``faces`` (bitmasks closed
+    under nonempty subsets) spans a face; else the least minimal non-face, as
+    its ascending bit positions. Faces grow level by level from the edges, each
+    by the AND of one mask of later neighbours per bit."""
+    later = {}  # by the single bit of each vertex
+    edges = [f for f in faces if f.bit_count() == 2]
+    for f in edges:
+        later[f & -f] = later.get(f & -f, 0) | f & (f - 1)
+    level = [(f, later[f & -f] & later.get(f & (f - 1), 0)) for f in edges]
+    while level:
+        grown, failures = [], []
+        for f, common in level:
+            rest = common
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if (f | w) in faces:
+                    grown.append((f | w, common & later.get(w, 0)))
+                else:
+                    failures.append(f | w)
+        if failures:
+            return min(map(mask_bits, failures))
+        level = grown
+    return None
 
 
 def is_flag(S):
     """(True, None) when every clique of the 1-skeleton spans a simplex;
-    otherwise (False, witness) with a least minimal non-face.
-
-    Faces grow level by level from the edges, each by the common neighbours
-    after its last vertex in name order. The first level that reaches a
-    non-face gives the witness, the least such tuple in name order.
-    """
+    otherwise (False, witness) with a least minimal non-face in name order."""
     if not isinstance(S, SimplicialComplex):
         raise TypeError("expected a simplicial complex")
-    # vertices by their rank in name order, so rank tuples compare as names do
-    verts = S.vertices
-    rank = {v: k for k, v in enumerate(verts)}
-    later = {k: set() for k in range(len(verts))}
-    level = []
-    for f in S.faces:
-        if len(f) == 2:
-            a, b = sorted(rank[v] for v in f)
-            later[a].add(b)
-            level.append((a, b))
-    while level:
-        grown, failures = [], []
-        for f in level:
-            for w in set.intersection(*(later[u] for u in f)):
-                g = f + (w,)
-                if frozenset(verts[k] for k in g) in S.faces:
-                    grown.append(g)
-                else:
-                    failures.append(g)
-        if failures:
-            return False, tuple(verts[k] for k in min(failures))
-        level = grown
-    return True, None
+    # bit k is the k-th vertex in name order, so bit tuples compare as names do
+    bit = {v: 1 << k for k, v in enumerate(S.vertices)}
+    witness = flag_failure({sum(bit[v] for v in f) for f in S.faces})
+    return witness is None, witness and tuple(S.vertices[k] for k in witness)
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,13 @@ class NpcReport:
 def check_npc(X):
     """Gromov link condition: every vertex link simplicial and flag."""
     violations = []
-    for lk in all_links(X):
-        for pair in lk.bigons:
-            violations.append(NpcViolation(lk.vertex, "bigon", pair))
-        ok, witness = is_flag(lk.complex)
-        if not ok:
-            violations.append(NpcViolation(lk.vertex, "not-flag", witness))
+    for v in X.vertices:
+        edges, faces, bigons = link_masks(X, v)
+        for pair in bigons:
+            violations.append(NpcViolation(v, "bigon", pair))
+        witness = flag_failure(faces)
+        if witness is not None:
+            violations.append(NpcViolation(v, "not-flag", tuple(edges[k] for k in witness)))
     return NpcReport(tuple(violations))
 
 
@@ -186,23 +191,38 @@ def check_special(X):
         else:
             crossing_pairs.setdefault(tuple(sorted((h_a, h_b))), sq)
 
-    # osculation: same-vertex edge pairs with no common square; an
-    # inter-osculation keeps the first such pair of two crossing hyperplanes
+    crosses = {}  # each hyperplane to the later ones that cross it in a square
+    for a, b in crossing_pairs:
+        crosses.setdefault(a, set()).add(b)
+    squares = {e: set(X.cofaces[e]) for e in hp_of}
+
+    # osculation: same-vertex edge pairs with no common square. Only pairs of
+    # one hyperplane, or of two that cross a square, can give a row, so the
+    # edges at a vertex are grouped by hyperplane; an inter-osculation keeps
+    # the first pair in (vertex, edge, edge) order
     self_osc = []
     inter = {}
     for v in X.vertices:
-        edges_at = [c for c in X.cells_at_vertex[v] if X.cells[c].dim == 1]
-        for i, e in enumerate(edges_at):
-            sq_e = set(X.cofaces[e])
-            for e2 in edges_at[i + 1 :]:
-                if not sq_e.isdisjoint(X.cofaces[e2]):
+        groups = {}
+        for c in X.cells_at_vertex[v]:
+            if c in hp_of:
+                groups.setdefault(hp_of[c], []).append(c)
+        for h, es in groups.items():
+            for e, e2 in combinations(es, 2):
+                if squares[e].isdisjoint(squares[e2]):
+                    self_osc.append((h, v, e, e2))
+            # the intersection walks the smaller of the two sides
+            for h2 in groups.keys() & crosses.get(h, ()):
+                if (h, h2) in inter:
                     continue
-                if hp_of[e] == hp_of[e2]:
-                    self_osc.append((hp_of[e], v, e, e2))
-                else:
-                    key = tuple(sorted((hp_of[e], hp_of[e2])))
-                    if key in crossing_pairs and key not in inter:
-                        inter[key] = (*key, crossing_pairs[key], v, e, e2)
+                pairs = [
+                    (min(e, e2), max(e, e2))
+                    for e in es
+                    for e2 in groups[h2]
+                    if squares[e].isdisjoint(squares[e2])
+                ]
+                if pairs:
+                    inter[h, h2] = (h, h2, crossing_pairs[h, h2], v, *min(pairs))
 
     return PathologyReport(
         tuple(sorted(self_int)), tuple(sorted(self_osc)), tuple(sorted(inter.values()))

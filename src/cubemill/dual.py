@@ -10,15 +10,8 @@ strictly embedded) even when the source has doubled cells.
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    CheckReport,
-    CubicalComplex,
-    SimplicialComplex,
-    cubical_subdivision,
-    link,
-    verify_cw,
-)
-from .curvature import is_flag
+from .complexes import CheckReport, CubicalComplex, cubical_subdivision, link_masks, verify_cw
+from .curvature import flag_failure
 from .errors import NotAdmissible, NotTopCell
 
 
@@ -178,20 +171,19 @@ def verify_dual_axioms(D):
     bad_links = []
     bad_sublinks = []
     for v in sorted(X.vertices):
-        lk = link(X, v)
-        if lk.bigons:
+        edges, faces, bigons = link_masks(X, v)
+        if bigons:
             bad_links.append(v)
             continue
-        if is_flag(lk.complex)[0]:
+        if flag_failure(faces) is None:
             # the sublinks are full subcomplexes of a flag link, so flag too
             continue
         bad_links.append(v)
-        # an edge at v goes up when its higher corner is above v
-        up = {e for e in lk.complex.vertices if max(h[w] for w in X.cells[e].corners) > h[v]}
-        down = {e for e in lk.complex.vertices if e not in up}
-        for side in (up, down):
-            sub = [f for f in lk.complex.faces if f <= side]
-            if sub and not is_flag(SimplicialComplex(sub))[0]:
+        # an edge at v goes up when its other end is above v
+        up = sum(1 << k for k, e in enumerate(edges) if h[sum(X.cells[e].corners) - v] > h[v])
+        for side in (up, (1 << len(edges)) - 1 ^ up):
+            sub = {f for f in faces if f & ~side == 0}
+            if sub and flag_failure(sub) is not None:
                 bad_sublinks.append(v)
                 break
     checks.append(_verdict("links-flag", bad_links))

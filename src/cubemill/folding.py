@@ -14,7 +14,7 @@ fixed value in one coordinate. Mirrors are closed subcomplexes.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import CubicalComplex, SimplicialComplex
+from .complexes import SimplicialComplex, mask_bits
 from .errors import InternalError, NotFoldable, UnlabeledVertex
 
 # ---------------------------------------------------------------------------
@@ -307,28 +307,31 @@ class Mirror:
 def mirrors(X, labels):
     """All mirrors of the folding, in canonical (coordinate, side, least cell) order."""
     n = X.dim
-    lab = {v: _label_of(labels, v, n) for v in X.vertices}
+    full = (1 << max(n, 0)) - 1
+    bits = {v: sum(1 << i for i, x in enumerate(_label_of(labels, v, n)) if x) for v in X.vertices}
+    # one pass over the cells: the coordinates where all corners of a cell
+    # read 1 (or 0) name every (coordinate, side) class that holds it
+    members = {}
+    for cid in sorted(X.cells):
+        ones = zeros = full
+        for v in X.cells[cid].corners:
+            ones &= bits[v]
+            zeros &= ~bits[v]
+        for side, m in ((0, zeros), (1, ones)):
+            for i in mask_bits(m):
+                members.setdefault((i, side), []).append(cid)
     out = []
-    for i in range(n):
-        for side in (0, 1):
-            member = [
-                cid
-                for cid in sorted(X.cells)
-                if all(lab[v][i] == side for v in X.cells[cid].corners)
-            ]
-            if not member:
-                continue
-            dsu = _DSU(member)
-            member_set = set(member)
-            for v in X.vertices:
-                at = [c for c in X.cells_at_vertex[v] if c in member_set]
-                for c in at[1:]:
-                    dsu.union(at[0], c)
-            comps = {}
-            for c in member:
-                comps.setdefault(dsu.find(c), []).append(c)
-            for root in sorted(comps):
-                out.append((i, side, root, frozenset(comps[root])))
+    for (i, side), member in members.items():
+        dsu, member_set = _DSU(member), set(member)
+        for c in member:  # the vertices of the class are its 0-cells
+            if X.cells[c].dim == 0:
+                at = [d for d in X.cells_at_vertex[X.cells[c].corners[0]] if d in member_set]
+                for d in at[1:]:
+                    dsu.union(at[0], d)
+        comps = {}
+        for c in member:
+            comps.setdefault(dsu.find(c), []).append(c)
+        out += [(i, side, root, frozenset(cells)) for root, cells in comps.items()]
     out.sort(key=lambda entry: entry[:3])
     return [
         Mirror(idx, i, side, cells) for idx, (i, side, _root, cells) in enumerate(out)

@@ -10,7 +10,9 @@ canonicalized again, links and simplicial complexes closed over every
 subset of each face with their maximal faces by pairwise containment, every
 cell's subcells for hyperplane carriers, every osculating pair of
 hyperplanes kept as a specialness candidate, networkx clique enumeration for
-flagness, the mirror/chamber incidences tested pair by pair and networkx
+flagness (over the direct links for the link condition and the dual
+axioms), one scan of every cell per (coordinate, side) class for mirrors,
+the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
 every dual vertex, the sublinks of every dual vertex checked for
@@ -32,13 +34,12 @@ from cubemill.complexes import (
     array_dim,
     canonical_corner_array,
     face_array,
-    link as library_link,
     name_key,
 )
-from cubemill.curvature import PathologyReport, is_flag as library_is_flag
+from cubemill.curvature import NpcReport, NpcViolation, PathologyReport
 from cubemill.dual import _verdict
 from cubemill.errors import CellNotFound
-from cubemill.folding import _DSU, FoldingObstruction, parallelism_classes
+from cubemill.folding import _DSU, FoldingObstruction, Mirror, _label_of, parallelism_classes
 
 
 def framings(X, M):
@@ -354,6 +355,47 @@ def is_flag(S):
     return False, min(failures, key=name_key)
 
 
+def check_npc(X):
+    """The link condition from the direct link and clique enumeration."""
+    violations = []
+    for v in X.vertices:
+        faces, _maximal, _vertices, bigons = link(X, v)
+        violations += [NpcViolation(v, "bigon", pair) for pair in bigons]
+        flag_ok, witness = is_flag(SimplicialComplex(faces))
+        if not flag_ok:
+            violations.append(NpcViolation(v, "not-flag", witness))
+    return NpcReport(tuple(violations))
+
+
+def mirrors(X, labels):
+    """Mirrors from one scan of every cell per (coordinate, side) class."""
+    n = X.dim
+    lab = {v: _label_of(labels, v, n) for v in X.vertices}
+    out = []
+    for i in range(n):
+        for side in (0, 1):
+            member = [
+                cid
+                for cid in sorted(X.cells)
+                if all(lab[v][i] == side for v in X.cells[cid].corners)
+            ]
+            if not member:
+                continue
+            dsu = _DSU(member)
+            member_set = set(member)
+            for v in X.vertices:
+                at = [c for c in X.cells_at_vertex[v] if c in member_set]
+                for c in at[1:]:
+                    dsu.union(at[0], c)
+            comps = {}
+            for c in member:
+                comps.setdefault(dsu.find(c), []).append(c)
+            for root in sorted(comps):
+                out.append((i, side, root, frozenset(comps[root])))
+    out.sort(key=lambda entry: entry[:3])
+    return [Mirror(idx, i, side, cells) for idx, (i, side, _root, cells) in enumerate(out)]
+
+
 def incidence_graph(t):
     """The mirror/chamber incidence graph of a decomposition tree."""
     g = nx.Graph()
@@ -470,18 +512,18 @@ def verify_dual_axioms(D):
     bad_links = []
     bad_sublinks = []
     for v in sorted(X.vertices):
-        lk = library_link(X, v)
-        if lk.bigons:
+        faces, _maximal, vertices, bigons = link(X, v)
+        if bigons:
             bad_links.append(v)
             continue
-        flag_ok, _w = library_is_flag(lk.complex)
+        flag_ok, _w = is_flag(SimplicialComplex(faces))
         if not flag_ok:
             bad_links.append(v)
-        up = {e for e in lk.complex.vertices if max(h[w] for w in X.cells[e].corners) > h[v]}
-        down = {e for e in lk.complex.vertices if e not in up}
+        up = {e for e in vertices if max(h[w] for w in X.cells[e].corners) > h[v]}
+        down = {e for e in vertices if e not in up}
         for side in (up, down):
-            sub = [f for f in lk.complex.faces if f <= side]
-            if sub and not library_is_flag(SimplicialComplex(sub))[0]:
+            sub = [f for f in faces if f <= side]
+            if sub and not is_flag(SimplicialComplex(sub))[0]:
                 bad_sublinks.append(v)
                 break
     checks.append(_verdict("links-flag", bad_links))

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from cubemill.complexes import CubicalComplex, SimplicialComplex, all_links
 from cubemill.curvature import (
     check_npc,
     check_special,
+    flag_failure,
     hyperplane_coordinate,
     hyperplanes,
     is_flag,
@@ -87,6 +89,17 @@ def test_is_flag_witness_is_least_in_name_order():
     # the boundary of a 4-simplex, with a filled triangle hanging off it
     S = SimplicialComplex([*combinations((3, "a", "b", "c", "d"), 4), ("a", 7, 8)])
     assert is_flag(S) == reference.is_flag(S) == (False, (3, "a", "b", "c", "d"))
+
+
+def test_flag_failure_on_a_hub_of_4000_bits():
+    # a path through 4000 link vertices whose last three span a hollow triangle
+    n = 4000
+    faces = {1 << k for k in range(n)} | {3 << k for k in range(n - 1)} | {5 << n - 3}
+    start = time.perf_counter()
+    assert flag_failure(faces) == (n - 3, n - 2, n - 1)
+    assert flag_failure(faces | {7 << n - 3}) is None
+    assert flag_failure({1 << k for k in range(n)}) is None
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ from cubemill.complexes import (
     cubical_subdivision,
     face_array,
     link,
+    link_masks,
+    mask_bits,
     name_key,
     validate_cubical,
     verify_cw,
 )
-from cubemill.curvature import check_special, hyperplanes
+from cubemill.curvature import check_npc, check_special, hyperplanes
 from cubemill.dual import DualComplex, build_dual, verify_dual_axioms
 from cubemill.errors import CellNotFound, NotAdmissible
 from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, strip
@@ -471,6 +473,17 @@ def _link(X, v):
     return lk.complex.faces, lk.complex.maximal, lk.complex.vertices, lk.bigons
 
 
+def _masks_as_edges(X, v):
+    """link_masks with each face read back as its set of edge ids."""
+    edges, faces, bigons = link_masks(X, v)
+    return edges, {frozenset(edges[k] for k in mask_bits(f)) for f in faces}, bigons
+
+
+def _reference_link_faces(X, v):
+    faces, _maximal, vertices, bigons = reference.link(X, v)
+    return list(vertices), set(faces), bigons
+
+
 def _outcome(fn, *args):
     """The value, or the message of the CellNotFound raised instead."""
     try:
@@ -486,6 +499,8 @@ def _assert_subdivision_and_links_match(X):
     for Y in (X, S) if isinstance(S, CubicalComplex) else (X,):
         for v in Y.vertices:
             assert _outcome(_link, Y, v) == _outcome(reference.link, Y, v), v
+            want = _outcome(_reference_link_faces, Y, v)
+            assert _outcome(_masks_as_edges, Y, v) == want, v
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -596,6 +611,45 @@ def test_cofaces_are_the_ids_of_the_cells_above(name):
 def test_specialness_matches_the_candidate_definition(name):
     X, _labels = case(name)
     assert check_special(X) == reference.check_special(X)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_link_condition_matches_the_direct_links(name):
+    X = case(name)[0]
+    for Y in (X, build_dual(X).complex):
+        assert check_npc(Y) == reference.check_npc(Y)
+
+
+@settings(max_examples=300)
+@given(corner_list_families())
+@example([(0, 1, 2, 3), (0, 1, 2, 3), (0, 4, 1, 5)])  # two squares on one corner set
+@example([(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6)])  # a cube corner, hollow
+# a square across a cube: at one vertex two crossing hyperplanes have two
+# osculating edges each, and the first pair in scan order is not the first found
+@example([(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 5, 3)])
+def test_link_condition_and_specialness_match_on_random_families(lists):
+    lists = [arr for arr in lists if len(set(arr)) == len(arr)]
+    assume(lists)
+    X = _glued_by_corner_sets(lists)
+    assert _outcome(check_npc, X) == _outcome(reference.check_npc, X)
+    assert check_special(X) == reference.check_special(X)
+
+
+def test_link_condition_witnesses_on_bigons_and_hollow_corners():
+    X = _glued_by_corner_sets([(0, 1, 2, 3), (0, 1, 2, 3), (0, 4, 1, 5)])
+    got = check_npc(X)
+    assert got == reference.check_npc(X)
+    assert [v.kind for v in got.violations].count("bigon") == 4
+    X = _cube_boundary_dual([0] * 8).complex
+    got = check_npc(X)
+    assert got == reference.check_npc(X)
+    assert [v.kind for v in got.violations] == ["not-flag"] * 8
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_mirrors_match_the_scan_per_class(name):
+    X, labels = case(name)
+    assert case_mirrors(name) == tuple(reference.mirrors(X, labels))
 
 
 @pytest.mark.parametrize("name", CASES)
