@@ -39,6 +39,7 @@ from .surgery import (
     is_loop,
     random_loop,
     surgery_context,
+    touched_mirrors,
     verify_certificate,
 )
 
@@ -373,7 +374,7 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
         _emit({"error": "BadLoop", "detail": detail}, code=2)
     cert = contract_loop(D, p, labels)
     ctx = surgery_context(D, labels)
-    mu = sum(crossings(ctx, p, M).count for M in ctx.mirrors)
+    mu = sum(crossings(ctx, p, ctx.mirrors[i]).count for i in touched_mirrors(ctx, p))
     payload = {
         "ok": True,
         "loop": list(p),

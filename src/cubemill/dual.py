@@ -23,8 +23,8 @@ class DualComplex:
     _graph: dict = field(default=None, repr=False, compare=False)
     _square_index: dict = field(default=None, repr=False, compare=False)
     _tops_at: dict = field(default=None, repr=False, compare=False)
-    # surgery contexts keyed by folding content, filled by surgery.surgery_context
-    _surgery: dict = field(default_factory=dict, repr=False, compare=False)
+    # surgery contexts, one per folding, filled by surgery.surgery_context
+    _surgery: list = field(default_factory=list, repr=False, compare=False)
 
     def skeleton(self):
         """The dual 1-skeleton as an adjacency dict ``{v: {w: None}}``, cached.

@@ -11,9 +11,13 @@ against the dual complex without trusting the producer.
 The mirror-side data surgery reads is built once per dual complex and
 folding by ``surgery_context`` and kept on the dual complex, so after that
 first call the cost of contracting a loop follows the loop. It is the
-mirrors of the folding, whether each separates, and for each separating
-mirror the side labels of its flank vertices; a mirror's region is its own
-cell set.
+mirrors of the folding, whether each separates, for each separating mirror
+the side labels of its flank vertices, and an index from each dual vertex
+to the mirrors whose region holds it; a mirror's region is its own cell
+set. A loop crosses, and a path bridges, only mirrors it touches, so the
+crossing scan, the bridge search and the projection read only the mirrors
+the index names for the vertices at hand. A kept context is found by
+comparing the caller's labels with its stored copy.
 
 Determinism: mirrors are scanned in their canonical order, gaps and bridges
 break ties toward the least start index and least length, slides raise all
@@ -45,7 +49,9 @@ from .folding import mirror_separates, mirrors
 class SurgeryContext:
     """Mirror-side data of surgery on one dual complex under one folding.
 
-    Per-mirror tuples are indexed by ``Mirror.index``.
+    Per-mirror tuples are indexed by ``Mirror.index``. ``holding`` is the
+    index built with them: each dual vertex that lies in a mirror region maps
+    to the ascending indices of the mirrors whose region holds it.
     """
 
     D: object  # the DualComplex
@@ -54,24 +60,29 @@ class SurgeryContext:
     separates: tuple  # per mirror, whether it separates its framings
     sides: tuple  # per mirror, its flank side labels if it separates, else None
     refusal: object  # the first mirror that does not separate, or None
+    holding: dict  # dual vertex -> ascending indices of the mirrors holding it
 
 
 def surgery_context(D, labels):
     """The surgery context of ``D`` under ``labels``, built on first use.
 
-    ``labels`` maps vertices to label tuples. Contexts are memoized on ``D``
-    by the content of the labels, so equal foldings share one and a
-    different folding of the same complex gets its own.
+    ``labels`` maps vertices to label tuples. Contexts are kept on ``D`` and
+    found by equality of the labels with each one's stored copy, so equal
+    foldings share one, a different folding of the same complex gets its
+    own, and a later change to the caller's dict does not reach a kept one.
     """
-    key = frozenset(labels.items())
-    ctx = D._surgery.get(key)
+    ctx = next((c for c in D._surgery if c.labels == labels), None)
     if ctx is None:
         ml = tuple(mirrors(D.source, labels))
         seps = tuple(mirror_separates(D.source, M).separates for M in ml)
         sides = tuple(dual_mirror(D, M) if sep else None for M, sep in zip(ml, seps))
         refusal = next((M for M, sep in zip(ml, seps) if not sep), None)
-        ctx = SurgeryContext(D, dict(labels), ml, seps, sides, refusal)
-        D._surgery[key] = ctx
+        holding = {}
+        for M in ml:
+            for c in M.cells:
+                holding.setdefault(c, []).append(M.index)
+        ctx = SurgeryContext(D, dict(labels), ml, seps, sides, refusal, holding)
+        D._surgery.append(ctx)
     return ctx
 
 
@@ -243,10 +254,25 @@ def crossings(ctx, p, M):
     return CrossingProfile(M.index, tuple(runs), flags, sum(flags))
 
 
+def touched_mirrors(ctx, p):
+    """The ascending indices of the mirrors whose region holds a vertex of
+    ``p``; every other mirror has no crossing and no bridge on it."""
+    held = ctx.holding
+    return sorted({i for v in p if v in held for i in held[v]})
+
+
 def _first_crossing(ctx, p):
     """The first mirror in canonical order that the loop crosses, with its
-    crossing profile, or None."""
-    for M in ctx.mirrors:
+    crossing profile, or None.
+
+    Only the mirrors the loop touches are scanned, and the first mirror that
+    does not separate, so a refused context raises as a scan of every mirror
+    would."""
+    scan = touched_mirrors(ctx, p)
+    if ctx.refusal is not None:
+        scan = sorted({*scan, ctx.refusal.index})
+    for i in scan:
+        M = ctx.mirrors[i]
         prof = crossings(ctx, p, M)
         if prof.count > 0:
             return M, prof
@@ -442,12 +468,15 @@ def minimal_bridge(ctx, p):
     starts last; its support is the least mirror it bridges.
     """
     p = tuple(p)
+    visits = {}
+    for i, v in enumerate(p):
+        for m in ctx.holding.get(v, ()):
+            visits.setdefault(m, []).append(i)
     found = []
-    for M in ctx.mirrors:
-        visits = [i for i, v in enumerate(p) if v in M.cells]
-        for a, b in zip(visits, visits[1:]):
+    for m, at in visits.items():
+        for a, b in zip(at, at[1:]):
             if b > a + 1:
-                found.append((b, -a, M.index))
+                found.append((b, -a, m))
                 break
     if not found:
         raise NotABridge("the path has no bridge subpath")
@@ -488,10 +517,6 @@ def project_bridge(ctx, q, M):
     if all(v in region for v in q):
         raise NotABridge("the path lies inside the mirror region")
 
-    relevant = [
-        N for N in ctx.mirrors if N.index != M.index and N.cells & M.cells
-    ]
-
     image = []
     for v in q:
         carriers = [
@@ -516,8 +541,9 @@ def project_bridge(ctx, q, M):
 
         constraints = {}
         pin(M, constraints)
-        for N in relevant:
-            if v in N.cells:
+        for i in ctx.holding.get(v, ()):
+            N = ctx.mirrors[i]
+            if i != M.index and not N.cells.isdisjoint(region):
                 pin(N, constraints)
         image.append(D.source.face_of(tau, constraints))
 

@@ -17,7 +17,9 @@ verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
 every dual vertex, the sublinks of every dual vertex checked for
 flagness, the folding search recursing once per parallelism class, and
-folding verification reading each corner's label bits from its string.
+folding verification reading each corner's label bits from its string,
+and loop surgery scanning every mirror for the first crossing and pinning
+every mirror that meets the support in a projection.
 Differential tests compare the library against them.
 """
 
@@ -37,9 +39,10 @@ from cubemill.complexes import (
     name_key,
 )
 from cubemill.curvature import NpcReport, NpcViolation, PathologyReport
-from cubemill.dual import _verdict
-from cubemill.errors import CellNotFound
+from cubemill.dual import _verdict, tops_containing
+from cubemill.errors import CarrierViolation, CellNotFound, InternalError, NotABridge
 from cubemill.folding import _DSU, FoldingObstruction, Mirror, _label_of, parallelism_classes
+from cubemill.surgery import _axes, _strip_backtracks, check_edge_path, crossings
 
 
 def framings(X, M):
@@ -635,3 +638,55 @@ def find_folding(X):
         return None
 
     return search(0)
+
+
+def first_crossing(ctx, p):
+    """The first mirror in canonical order that the loop crosses, with its
+    crossing profile, or None, testing every mirror."""
+    for M in ctx.mirrors:
+        prof = crossings(ctx, p, M)
+        if prof.count > 0:
+            return M, prof
+    return None
+
+
+def project_bridge(ctx, q, M):
+    """The projection of a bridge onto the region of ``M``, pinning each
+    visited cell at ``M`` and at every mirror holding the cell among all the
+    mirrors that meet ``M``."""
+    D = ctx.D
+    q = check_edge_path(D, q)
+    region = M.cells
+    if q[0] not in region or q[-1] not in region:
+        raise NotABridge("bridge endpoints must lie in the mirror region")
+    if all(v in region for v in q):
+        raise NotABridge("the path lies inside the mirror region")
+    relevant = [N for N in ctx.mirrors if N.index != M.index and N.cells & M.cells]
+    image = []
+    for v in q:
+        carriers = [t for t in tops_containing(D, {v}) if D.source.subcells(t) & M.cells]
+        if not carriers:
+            raise CarrierViolation(f"no tile meeting the mirror carries the visited cell {v}")
+        tau = min(carriers)
+        axis_of = _axes(D.source.cells[tau], ctx.labels)
+        constraints = {}
+        for N in [M] + [N for N in relevant if v in N.cells]:
+            if N.coordinate not in axis_of:
+                raise CarrierViolation("the carrier does not flip a pinned coordinate")
+            j, bit0 = axis_of[N.coordinate]
+            if constraints.setdefault(j, bit0 ^ N.side) != bit0 ^ N.side:
+                raise InternalError("inconsistent projection constraints")
+        image.append(D.source.face_of(tau, constraints))
+    for a, b in zip(image, image[1:]):
+        if a != b and not D.adjacent(a, b):
+            raise InternalError("projection steps are neither equal nor adjacent")
+    for v in image:
+        if v not in region:
+            raise InternalError("projection left the mirror region")
+    if image[0] != q[0] or image[-1] != q[-1]:
+        raise InternalError("projection moved a bridge endpoint")
+    out = [image[0]]
+    for v in image[1:]:
+        if v != out[-1]:
+            out.append(v)
+    return _strip_backtracks(tuple(out))

@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 import reference
+from cubemill import surgery
 from cubemill.complexes import CubicalComplex
 from cubemill.errors import (
     NoCrossing,
@@ -24,6 +25,7 @@ from cubemill.surgery import (
     Rotate,
     Split,
     SquareSlide,
+    _first_crossing,
     _shortest_path,
     _strip_backtracks,
     check_edge_path,
@@ -401,6 +403,99 @@ def test_project_bridge_shortens_and_fixes_endpoints():
             assert len(proj) <= len(br.path) - 2
 
 
+def _outcome(f, *args):
+    """The result of a call, or the type and text of the error it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - errors are compared, not handled
+        return type(e), str(e)
+
+
+def _gap_paths(p, prof):
+    """Each gap between consecutive crossing runs, as the split walks it."""
+    n = len(p) - 1
+    runs = [r for r, flag in zip(prof.runs, prof.crossing_flags) if flag]
+    for r, nxt in zip(runs, runs[1:] + runs[:1]):
+        length = (nxt[0] - r[-1]) % n or n
+        yield rotate_loop(p, r[-1])[: length + 1]
+
+
+def _check_projections(ctx, q):
+    """Compare the projections of ``q`` onto every mirror holding both its
+    ends, or the errors they raise, with the all-mirror reference."""
+    for M in ctx.mirrors:
+        if q[0] in M.cells and q[-1] in M.cells:
+            got = _outcome(project_bridge, ctx, q, M)
+            assert got == _outcome(reference.project_bridge, ctx, q, M), (q, M.index)
+
+
+def _check_bridge_against_reference(ctx, q):
+    """Compare the least minimal bridge of ``q`` and its projections with
+    their references; 1 when ``q`` has a bridge, else 0."""
+    want = _reference_minimal_bridge(ctx, q)
+    if want is None:
+        with pytest.raises(NotABridge):
+            minimal_bridge(ctx, q)
+        return 0
+    br = minimal_bridge(ctx, q)
+    assert (br.start, br.length, br.path, br.support_index) == want, q
+    _check_projections(ctx, br.path)
+    return 1
+
+
+def test_mirror_local_scans_match_the_full_scans():
+    bridges = 0
+    for name, ctx in _side_cases():
+        if ctx.refusal is not None:
+            continue
+        rng = random.Random(f"mirror-local {name}")
+        for _ in range(200):
+            p = random_loop(ctx.D, rng, max_len=2 + rng.randrange(15))
+            hit = _first_crossing(ctx, p)
+            assert hit == reference.first_crossing(ctx, p), (name, p)
+            _check_projections(ctx, p)
+            if hit is not None:
+                for gap in _gap_paths(p, hit[1]):
+                    bridges += _check_bridge_against_reference(ctx, gap)
+    assert bridges >= 500
+
+
+def test_mirror_local_scans_refuse_as_the_full_scans():
+    ctx = _ctx("torus4")
+    assert ctx.refusal is not None
+    rng = random.Random("mirror-local torus4")
+    refused = 0
+    for _ in range(200):
+        p = random_loop(ctx.D, rng, max_len=2 + rng.randrange(15))
+        got = _outcome(_first_crossing, ctx, p)
+        assert got == _outcome(reference.first_crossing, ctx, p), p
+        refused += got[0] is NonSeparatingMirror
+        _check_bridge_against_reference(ctx, p)
+        _check_projections(ctx, p)
+    assert refused > 0
+
+
+def test_contraction_reads_only_the_mirrors_a_loop_touches(monkeypatch):
+    X = CubicalComplex.from_maximal_cells(grid_squares(24))
+    labels = find_folding(X)
+    D = build_dual(X)
+    assert len(surgery_context(D, labels).mirrors) == 50
+    rng = random.Random(24)
+    loops = [random_loop(D, rng, 12) for _ in range(50)]
+    calls = 0
+    scan = surgery.crossings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return scan(*args)
+
+    monkeypatch.setattr(surgery, "crossings", counted)
+    for p in loops:
+        contract_loop(D, p, labels)
+    assert calls < 12 * len(loops)
+
+
 # ---------------------------------------------------------------------------
 # surgery
 
@@ -549,6 +644,22 @@ def test_one_dual_complex_serves_two_foldings():
         assert surgery_context(shared, dict(f.labels)) is surgery_context(shared, f.labels)
         if name == "grid2":
             assert any(certs["a", p] != certs["b", p] for p in loops)
+
+
+def test_a_kept_context_is_found_by_the_labels_it_copied():
+    f = fixture("grid2")
+    D = build_dual(f.complex)
+    labels = dict(f.labels)
+    first = surgery_context(D, labels)
+    assert surgery_context(D, dict(f.labels)) is first
+    # a later change to the caller's dict reaches neither the kept copy nor
+    # the lookup: the changed labels get their own context
+    labels.update({v: tuple(reversed(lab)) for v, lab in f.labels.items()})
+    second = surgery_context(D, labels)
+    assert second is not first and second.labels == labels
+    assert first.labels == f.labels
+    assert surgery_context(D, dict(f.labels)) is first
+    assert len(D._surgery) == 2
 
 
 def test_torus_meridian_is_refused_on_every_call():
