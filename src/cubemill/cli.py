@@ -15,9 +15,8 @@ from pathlib import Path
 import click
 
 from . import formats
-from .complexes import Finding, SimplicialComplex, ValidationReport, barsub, link, verify_cw
-from .curvature import check_npc, check_special, hyperplane_coordinate, hyperplanes
-from .curvature import is_flag
+from .complexes import SimplicialComplex, barsub, link_masks, verify_cw
+from .curvature import check_npc, check_special, flag_failure, hyperplane_coordinate, hyperplanes
 from .decomposition import build_all_trees
 from .dual import build_dual, verify_dual_axioms
 from .errors import (
@@ -141,11 +140,7 @@ def validate(fixture_name, in_path):
     try:
         X, _labels = _load_complex(fixture_name, in_path)
     except NotAdmissible as e:
-        report = e.args[0]
-        if not isinstance(report, ValidationReport):
-            finding = Finding("NotAdmissible", (), str(report))
-            report = ValidationReport((finding,))
-        _emit(report.to_payload(), code=1)
+        _emit(e.args[0].to_payload(), code=1)
     report = verify_cw(X)
     payload = report.to_payload()
     payload["kind"] = X.kind
@@ -229,16 +224,20 @@ def links(fixture_name, in_path):
     rows = []
     clean = True
     for v in X.vertices:
-        lk = link(X, v)
-        flag_ok, witness = is_flag(lk.complex)
-        clean = clean and lk.simplicial and flag_ok
+        edges, faces, bigons = link_masks(X, v)
+        witness = flag_failure(faces)
+        clean = clean and not bigons and witness is None
+        counts = {}
+        for f in faces:
+            d = str(f.bit_count() - 1)
+            counts[d] = counts.get(d, 0) + 1
         rows.append(
             {
                 "vertex": v,
-                "simplicial": lk.simplicial,
-                "flag": flag_ok,
-                "witness": sorted(witness) if witness else [],
-                "counts": _counts(lk.complex),
+                "simplicial": not bigons,
+                "flag": witness is None,
+                "witness": [edges[k] for k in witness or ()],
+                "counts": counts,
             }
         )
     _emit({"ok": clean, "links": rows}, code=0 if clean else 1)

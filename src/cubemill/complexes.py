@@ -547,13 +547,6 @@ class CubicalComplex:
             )
         return matches[0]
 
-    def corner_position(self, cid, v):
-        cube = self.cell(cid)
-        try:
-            return cube.corners.index(v)
-        except ValueError:
-            raise CellNotFound(f"vertex {v} is not a corner of cell {cid}") from None
-
     def edges_at_corner(self, cid, b):
         """Cell ids of the cube's edges at corner position ``b``, one per coordinate.
 
@@ -640,17 +633,6 @@ def _verify_cw(X):
 # links
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    vertex: int
-    complex: "SimplicialComplex"  # vertices are edge cell ids
-    bigons: tuple  # pairs of cell ids inducing the same link simplex
-
-    @property
-    def simplicial(self):
-        return not self.bigons
-
-
 def mask_bits(mask):
     """The positions of the set bits of ``mask``, ascending."""
     out = []
@@ -694,18 +676,6 @@ def link_masks(X, v):
         level = below - faces
     doubled = sorted((mask_bits(m), cids) for m, cids in induced.items() if len(cids) > 1)
     return edges, faces, tuple(tuple(cids) for _bits, cids in doubled)
-
-
-def link(X, v):
-    """Link of a vertex as a simplicial complex on the incident edge cells,
-    read from :func:`link_masks`; a link with bigons is not simplicial."""
-    edges, faces, bigons = link_masks(X, v)
-    faces = (frozenset(edges[k] for k in mask_bits(f)) for f in faces)
-    return LinkResult(v, SimplicialComplex(faces), bigons)
-
-
-def all_links(X):
-    return [link(X, v) for v in X.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -873,14 +843,3 @@ def check_subdivision(X, S):
         diff = sorted(expected ^ got)[:3]
         raise NotASubdivision(f"cell census differs near {diff}")
     return True
-
-
-# ---------------------------------------------------------------------------
-# small builders
-
-
-def graph_complex(edges, isolated=()):
-    """1-dimensional cubical complex from an edge list over integer vertex ids."""
-    maximal = [tuple(e) for e in edges]
-    maximal.extend((v,) for v in isolated)
-    return CubicalComplex.from_maximal_cells(maximal)

@@ -349,8 +349,7 @@ def _vertex_link_multigraph(X, v):
         if cube.dim == 1:
             g.add_node(cid)
         elif cube.dim == 2:
-            b = X.corner_position(cid, v)
-            e1, e2 = X.edges_at_corner(cid, b)
+            e1, e2 = X.edges_at_corner(cid, cube.corners.index(v))
             g.add_edge(e1, e2)
     return g
 

@@ -130,10 +130,6 @@ def tile_of(D, p):
     return min(tops)
 
 
-def in_tile(D, p):
-    return bool(tops_containing(D, set(p)))
-
-
 def random_loop(D, rng, max_len=12):
     """A random loop of length at most ``max_len`` in the dual skeleton.
 

@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 import reference
-from cubemill.complexes import SimplicialComplex, barsub, graph_complex
+from cubemill.complexes import CubicalComplex, SimplicialComplex, barsub
 from cubemill.curvature import check_npc, check_special, hyperplane_coordinate, hyperplanes
 from cubemill.decomposition import build_all_trees
 from cubemill.dual import build_dual, verify_dual_axioms
@@ -58,7 +58,7 @@ def test_criterion_1_folding_search_on_graphs_and_roses():
         if not g.edges:
             continue
         tested += 1
-        X = graph_complex(g.edges)
+        X = CubicalComplex.from_maximal_cells(g.edges)
         if nx.is_bipartite(g):
             assert verify_folding(X, find_folding(X)) is None
         else:

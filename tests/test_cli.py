@@ -11,14 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 import cubemill
-from cubemill import surgery
+import reference
+from cubemill import formats, surgery
 from cubemill.cli import main
-from cubemill.complexes import MAX_BARSUB_FLAGS
+from cubemill.complexes import MAX_BARSUB_FLAGS, SimplicialComplex
 from cubemill.dual import build_dual
-from cubemill.fixtures import fixture
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.formats import MAX_CELL_DIM, parse_complex
 from cubemill.surgery import random_loop
-from helpers import deep_certificate_text
+from helpers import deep_certificate_text, dual_of
 
 runner = CliRunner()
 
@@ -541,6 +542,78 @@ def test_special_check_and_links_pass_on_the_cube():
     r = run("links", "--fixture", "cube1")
     assert r.exit_code == 0
     assert payload(r)["ok"] is True
+
+
+HOLLOW_CUBE = (
+    '{"kind": "cubical", "maximal": [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], '
+    '[2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7]]}'
+)
+BIGON_SQUARES = Path(__file__).parent / "data" / "bigon_squares.json"
+
+
+def test_links_of_the_hollow_cube_are_empty_triangles(tmp_path):
+    path = tmp_path / "hollow.json"
+    path.write_text(HOLLOW_CUBE)
+    r = run("links", "--in", str(path))
+    assert r.exit_code == 1
+    doc = payload(r)
+    assert doc["ok"] is False
+    assert doc["links"][0] == {
+        "counts": {"0": 3, "1": 3},
+        "flag": False,
+        "simplicial": True,
+        "vertex": 0,
+        "witness": [8, 9, 10],
+    }
+
+
+def test_links_report_the_bigon_of_two_squares():
+    r = run("links", "--in", str(BIGON_SQUARES))
+    assert r.exit_code == 1
+    assert payload(r)["links"][0] == {
+        "counts": {"0": 2, "1": 1},
+        "flag": True,
+        "simplicial": False,
+        "vertex": 0,
+        "witness": [],
+    }
+
+
+def _reference_link_row(X, v):
+    faces, _maximal, _vertices, bigons = reference.link(X, v)
+    flag, witness = reference.is_flag(SimplicialComplex(faces))
+    counts = {}
+    for f in faces:
+        counts[str(len(f) - 1)] = counts.get(str(len(f) - 1), 0) + 1
+    return {
+        "counts": counts,
+        "flag": flag,
+        "simplicial": not bigons,
+        "vertex": v,
+        "witness": list(witness or ()),
+    }
+
+
+def _link_inputs(tmp_path):
+    hollow = tmp_path / "hollow.json"
+    hollow.write_text(HOLLOW_CUBE)
+    yield hollow
+    yield BIGON_SQUARES
+    for name in FIXTURE_NAMES:
+        for X in (fixture(name).complex, dual_of(name).complex):
+            path = tmp_path / f"{name}-{X.kind}-{len(X.cells)}.json"
+            path.write_text(formats.serialize_complex(X))
+            yield path
+
+
+def test_links_rows_match_the_reference_links(tmp_path):
+    for path in _link_inputs(tmp_path):
+        X = parse_complex(path.read_text())
+        want = [_reference_link_row(X, v) for v in X.vertices]
+        ok = all(row["flag"] and row["simplicial"] for row in want)
+        r = run("links", "--in", str(path))
+        assert payload(r) == {"ok": ok, "links": want}, path.name
+        assert r.exit_code == (0 if ok else 1)
 
 
 def test_tree_report_flags_the_torus_cycle():

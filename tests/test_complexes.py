@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from cubemill import formats
 from cubemill.complexes import (
     Cube,
     CubicalComplex,
@@ -15,8 +17,7 @@ from cubemill.complexes import (
     check_subdivision,
     cubical_subdivision,
     face_array,
-    graph_complex,
-    link,
+    link_masks,
     validate_cubical,
     verify_cw,
 )
@@ -245,9 +246,12 @@ def test_homogeneous():
 def test_cube_vertex_links_are_triangles():
     X = fixture("cube1").complex
     for v in X.vertices:
-        lk = link(X, v)
-        assert lk.simplicial
-        assert lk.complex.counts() == {0: 3, 1: 3, 2: 1}
+        _edges, faces, bigons = link_masks(X, v)
+        assert not bigons
+        assert sorted(f.bit_count() for f in faces) == [1, 1, 1, 2, 2, 2, 3]
+
+
+BIGON_SQUARES = Path(__file__).parent / "data" / "bigon_squares.json"
 
 
 def test_bigon_link_detected():
@@ -268,9 +272,9 @@ def test_bigon_link_detected():
         ("s2",): ((0, 1, 2, 4), (("b",), ("c2",), ("a",), ("d2",))),
     }
     X = CubicalComplex.from_named_cells(named)
-    lk = link(X, X.zero_cell[0])
-    assert not lk.simplicial
-    assert len(lk.bigons) == 1
+    _edges, _faces, bigons = link_masks(X, X.zero_cell[0])
+    assert len(bigons) == 1
+    assert BIGON_SQUARES.read_text() == formats.serialize_complex(X)  # read by the CLI tests
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +367,3 @@ def test_check_subdivision_rejects_wrong_complex():
     other = cubical_subdivision(fixture("grid2").complex)
     with pytest.raises(NotASubdivision):
         check_subdivision(X, other)
-
-
-def test_graph_complex():
-    G = graph_complex([(0, 1), (1, 2)], isolated=(7,))
-    assert G.counts() == {0: 4, 1: 2}
-    assert G.dim == 1

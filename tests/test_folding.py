@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from cubemill import folding
-from cubemill.complexes import CubicalComplex, graph_complex
+from cubemill.complexes import CubicalComplex
 from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex
 from cubemill.fixtures import FIXTURE_NAMES, fixture, grid3, rose, strip, tube
 from cubemill.folding import (
@@ -113,7 +113,7 @@ def test_find_folding_graph_iff_bipartite():
         g = nx.gnp_random_graph(n, p, seed=rng.randint(0, 10**9))
         if not g.edges:
             continue
-        X = graph_complex(g.edges)
+        X = CubicalComplex.from_maximal_cells(g.edges)
         if nx.is_bipartite(g):
             assert verify_folding(X, find_folding(X)) is None
         else:
@@ -149,7 +149,7 @@ def test_strip_foldable():
 
 
 def test_zero_dimensional_complex_folds_trivially():
-    X = graph_complex([], isolated=(0, 1, 2))
+    X = CubicalComplex.from_maximal_cells([(0,), (1,), (2,)])
     assert find_folding(X) == {v: () for v in X.vertices}
 
 
@@ -188,7 +188,7 @@ def _search_cases():
     for _ in range(40):
         g = nx.gnp_random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.5), seed=rng.randrange(10**9))
         if g.edges:
-            yield graph_complex(g.edges)
+            yield CubicalComplex.from_maximal_cells(g.edges)
 
 
 def test_search_on_a_stack_matches_the_recursive_search():
@@ -222,7 +222,7 @@ def test_a_returned_non_folding_is_an_internal_error(monkeypatch):
 @given(st.integers(3, 9), st.booleans())
 def test_cycle_foldable_iff_even(n, shift):
     edges = [(i, (i + 1) % n) for i in range(n)]
-    X = graph_complex(edges)
+    X = CubicalComplex.from_maximal_cells(edges)
     if n % 2 == 0:
         assert verify_folding(X, find_folding(X)) is None
     else:

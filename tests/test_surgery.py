@@ -32,7 +32,6 @@ from cubemill.surgery import (
     contract_in_tile,
     contract_loop,
     crossings,
-    in_tile,
     is_loop,
     make_efficient,
     minimal_bridge,
@@ -134,7 +133,7 @@ def test_loop_in_tile_has_zero_crossings():
     v0 = verts[0]
     nbr = [v for v in verts if D.adjacent(v0, v)][0]
     p = (v0, nbr, v0)
-    assert in_tile(D, p)
+    assert tops_containing(D, set(p))
     assert _mu(name, p) == 0
 
 
@@ -150,7 +149,7 @@ def test_crossing_detected_on_grid():
         mu = _mu(name, p)
         if mu > 0:
             found += 1
-            assert not in_tile(D, p)
+            assert not tops_containing(D, set(p))
     assert found > 0
 
 
@@ -219,7 +218,7 @@ def test_short_reduced_loops_never_cross():
         for _ in range(100):
             p = _strip_backtracks(random_loop(D, rng, max_len=4))
             assert _mu(name, p) == 0, (name, p)
-            assert in_tile(D, p)
+            assert tops_containing(D, set(p))
 
 
 def test_degenerate_short_wedge_crosses_the_spine():
@@ -252,7 +251,7 @@ def test_make_efficient_single_peak():
     rng = random.Random(12)
     for _ in range(100):
         p = random_loop(D, rng, max_len=8)
-        if not in_tile(D, p):
+        if not tops_containing(D, set(p)):
             continue
         q, moves = make_efficient(D, p)
         hs = [D.heights[v] for v in q]
