@@ -24,7 +24,6 @@ from .errors import (
     CubemillError,
     FormatError,
     NotAdmissible,
-    NotFoldable,
     UnlabeledVertex,
 )
 from .fixtures import FIXTURE_NAMES, fixture

@@ -136,6 +136,16 @@ def canonicalize_cell(arr, facets):
     return tuple([arr[b] for b in positions]), tuple(new_facets)
 
 
+def _canonical(arr):
+    # a 0-cell is its own array and an edge its sorted pair; both pass
+    # array_dim, and callers refuse repeated corners first
+    if len(arr) == 1:
+        return arr
+    if len(arr) == 2:
+        return arr if arr[0] < arr[1] else (arr[1], arr[0])
+    return canonical_corner_array(arr)
+
+
 def _is_face(arr, corners):
     """Whether ``corners``, a nonempty subset of the corners of the cube
     ``arr``, is the corner set of one of its faces: their positions must fill
@@ -330,29 +340,27 @@ class CubicalComplex:
             if not report.ok:
                 raise NotAdmissible(report)
         facets_of = {}  # canonical array -> canonical facet arrays
-
-        def add(arr):
-            # a 0-cell is its own array and an edge its sorted pair; both pass
-            # array_dim, and repeated corners are refused before add
-            if len(arr) == 1:
-                a = arr
-            elif len(arr) == 2:
-                a = arr if arr[0] < arr[1] else (arr[1], arr[0])
-            else:
-                a = canonical_corner_array(arr)
-            if a not in facets_of:
-                k = len(a).bit_length() - 1
-                facets_of[a] = tuple(add(face_array(a, i, s)) for i in range(k) for s in (0, 1))
-            return a
-
         for arr in lists:
             if len(set(arr)) != len(arr):
                 raise NotAdmissible(f"repeated corners in {arr}")
-            add(arr)
+            todo = [_canonical(arr)]
+            while todo:
+                a = todo.pop()
+                if a not in facets_of:
+                    k = len(a).bit_length() - 1
+                    fs = tuple(_canonical(face_array(a, i, s)) for i in range(k) for s in (0, 1))
+                    facets_of[a] = fs
+                    todo += fs
+        return cls._from_facet_arrays(facets_of)
+
+    @classmethod
+    def _from_facet_arrays(cls, facets_of):
+        """The strict complex whose cells are the keys of ``facets_of``, each a
+        canonical corner array mapped to its facet arrays in facet order."""
         # a k-cube has 2^k corners, so (length, array) is (dimension, array) order
         order = sorted(facets_of, key=lambda a: (len(a), a))
         cid = {a: i for i, a in enumerate(order)}
-        cubes = [Cube(cid[a], a, tuple(cid[f] for f in facets_of[a])) for a in order]
+        cubes = [Cube(cid[a], a, tuple([cid[f] for f in facets_of[a]])) for a in order]
         return cls(cubes, kind="cubical")
 
     @classmethod
@@ -790,6 +798,52 @@ def barsub(X):
 # cubical subdivision
 
 
+# the intervals of the face poset of a k-cube, by k; see _cube_intervals
+_INTERVALS = {}
+
+
+def _cube_intervals(k):
+    """The intervals [rho, tau] of the face poset of a k-cube, fewest free
+    coordinates first, each as ``(corners, halves)``.
+
+    A face with free mask m and the other coordinates pinned to the bits p is
+    named by the index ``m << k | p``. An interval has one axis per
+    coordinate free in tau and pinned in rho; ``corners[s]`` names its corner
+    with the axes picked by the bits of ``s`` freed, so ``corners[0]`` is rho
+    and ``corners[1 << q]`` covers rho along axis q. ``halves[q]`` holds the
+    positions in this list of its two facets along axis q: [rho, tau - q]
+    and [rho + q, tau].
+    """
+    got = _INTERVALS.get(k)
+    if got is None:
+        full = (1 << k) - 1
+        keys = []  # (m, M, p): rho is (m, p), tau is (M, p & ~M)
+        for m in range(1 << k):
+            for p in range(1 << k):
+                if p & m:
+                    continue
+                rest = full & ~m
+                sub = rest
+                while True:  # every subset of the coordinates outside m
+                    keys.append((m, m | sub, p))
+                    if not sub:
+                        break
+                    sub = (sub - 1) & rest
+        keys.sort(key=lambda key: (key[1] ^ key[0]).bit_count())
+        at = {key: n for n, key in enumerate(keys)}
+        got = []
+        for m, M, p in keys:
+            axes = [1 << i for i in range(k) if (M & ~m) >> i & 1]
+            corners = []
+            for s in range(1 << len(axes)):
+                f = m | sum(a for q, a in enumerate(axes) if s >> q & 1)
+                corners.append(f << k | p & ~f)
+            halves = [(at[m, M & ~a, p], at[m | a, M, p & ~a]) for a in axes]
+            got.append((tuple(corners), tuple(halves)))
+        _INTERVALS[k] = got
+    return got
+
+
 def cubical_subdivision(X):
     """Standard cubical subdivision: one vertex per cell, one k-cube per
     (corner, k-cell) pair. Vertex ids of the result are cell ids of ``X``.
@@ -797,33 +851,59 @@ def cubical_subdivision(X):
     The result is always strict, even when the source is a relaxed complex
     with doubled cells, because subdivision cubes are poset intervals and an
     interval is determined by its corner set.
+
+    Every cell is an interval [rho, tau] of the faces of a top cell, written
+    straight in canonical form: cell ids are in dimension order, so rho is
+    the least corner, and the axes go in the order of the ids of the cells
+    that cover rho in the interval. An interval that two top cells share is
+    written once, by its corner array; the same pair (rho, tau) can give two
+    arrays where a top cell takes a facet in a twisted frame.
     """
-    maximal = []
+    facets_of = {}  # canonical array -> canonical facet arrays
+    getters = {}  # axis order -> reader of the corners in canonical order
     for t in X.top_cells():
         cube = X.cells[t]
         k = cube.dim
         # faces of t by (free mask, pinned bits) of their corner positions: the
-        # face with the coordinates outside m pinned to b is table[(m, b & ~m)]
+        # face with the coordinates outside m pinned to b is faces[m << k | b & ~m]
         where = {v: b for b, v in enumerate(cube.corners)}
-        table = {}
+        faces = [None] * (1 << 2 * k)
         for f in X.subcells(t):
             pos = [where[v] for v in X.cells[f].corners]
             free = 0
             for p in pos:
                 free |= p ^ pos[0]
-            if len(pos) != 1 << bin(free).count("1"):
+            if len(pos) != 1 << free.bit_count():
                 continue  # a face of a facet in its own frame, not one of t
-            key = (free, pos[0] & ~free)
-            table[key] = None if key in table else f  # None: doubled, refused below
-        for b in range(1 << k):
-            arr = []
-            for m in range(1 << k):
-                f = table.get((m, b & ~m))
-                if f is None:  # raises CellNotFound with face_of's message
-                    X.face_of(t, {j: (b >> j) & 1 for j in range(k) if not (m >> j) & 1})
-                arr.append(f)
-            maximal.append(tuple(arr))
-    return CubicalComplex.from_maximal_cells(maximal, check=False)
+            key = free << k | pos[0] & ~free
+            faces[key] = f if faces[key] is None else -1  # -1: doubled, refused below
+        if sum(f is not None and f >= 0 for f in faces) != 3**k:
+            for b in range(1 << k):
+                for m in range(1 << k):
+                    f = faces[m << k | b & ~m]
+                    if f is None or f < 0:  # raises CellNotFound with face_of's message
+                        X.face_of(t, {j: (b >> j) & 1 for j in range(k) if not (m >> j) & 1})
+        arrays = []  # by position in the interval list
+        for corners, halves in _cube_intervals(k):
+            ids = [faces[c] for c in corners]
+            j = len(halves)
+            if j < 2:
+                arr = tuple(ids)
+                order = range(j)
+            else:
+                covers = [ids[1 << q] for q in range(j)]
+                order = tuple(sorted(range(j), key=covers.__getitem__))
+                get = getters.get(order)
+                if get is None:
+                    pos = [0]
+                    for q in order:
+                        pos += [b | 1 << q for b in pos]
+                    get = getters[order] = itemgetter(*pos)
+                arr = get(ids)
+            arrays.append(arr)
+            if arr not in facets_of:
+                facets_of[arr] = tuple([arrays[h] for q in order for h in halves[q]])
+    return CubicalComplex._from_facet_arrays(facets_of)
 
 
 def check_subdivision(X, S):

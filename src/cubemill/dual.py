@@ -6,6 +6,10 @@ interval from a vertex-cell to a top cell spans a maximal dual cube, and every
 dual cell is an interval [a, b] of dimension dim(b) - dim(a). Structurally
 the dual complex is the cubical subdivision, which is why it exists (and is
 strictly embedded) even when the source has doubled cells.
+
+Where the cells at a dual vertex pair off as (cell below, cell above), its
+link is the join of the two parts and only they are searched for flagness;
+elsewhere the whole link is read.
 """
 
 from dataclasses import dataclass, field
@@ -125,67 +129,83 @@ def verify_dual_axioms(D):
     descending full sublinks (checked only under links that fail, since a
     full subcomplex of a flag complex is flag); and every 4-cycle of the
     skeleton with a unique height minimum and maximum spans a stored square.
+
+    One pass over the cells serves the first three checks, which a graded
+    cell (heights rising by one per coordinate from its corner 0) passes but
+    for its face relations, and files each graded cell under its lowest and
+    its highest corner. The link of a vertex is the join of its descending
+    and ascending parts (the cells it tops, the cells it bottoms) when every
+    cell at it is graded, no two share both extreme corners, each part gives
+    distinct masks, and (n + 1)(m + 1) cells meet it for parts of n and m
+    cells. A doubled edge is two cells on one pair of extreme corners, and a
+    facet frame twisted against its cube takes a diagonal of the cube for an
+    edge and so is not graded: neither needs a test of its own. A join is
+    flag exactly when both parts are, so only the parts are searched, read
+    from the extreme corners of their cells. Elsewhere, and where a part is
+    not flag, the whole link is read. The interval-complete check looks a
+    4-cycle up among the graded squares by its extreme corners first.
     """
     X = D.complex
     h = D.heights
-    checks = []
-
-    bad = [
-        cube.cid
-        for cube in X.cells.values()
-        if cube.dim == 1 and abs(h[cube.corners[0]] - h[cube.corners[1]]) != 1
-    ]
-    checks.append(_verdict("edge-heights", bad))
-
-    bad = []
-    for cube in X.cells.values():
-        if cube.dim != 2:
-            continue
-        c = cube.corners
-        d1 = sorted((h[c[0]], h[c[3]]))
-        d2 = sorted((h[c[1]], h[c[2]]))
-        flat, split = (d1, d2) if d1[0] == d1[1] else (d2, d1)
-        if flat[0] != flat[1] or split != [flat[0] - 1, flat[0] + 1]:
-            bad.append(cube.cid)
-    checks.append(_verdict("square-heights", bad))
-
-    bad = []
     subcells = D.source.subcells
+    bad_edges, bad_squares, bad_cubes = [], [], []
+    above = {v: {} for v in X.vertices}  # lowest corner -> highest corner -> graded cell
+    below = {v: [] for v in X.vertices}  # highest corner -> graded cells
+    tangled = set()  # vertices whose link is not read as a join
     for cube in X.cells.values():
         k = cube.dim
         if k == 0:
             continue  # a single corner is its own interval
         c = cube.corners
         hs = [h[u] for u in c]
-        low, high = min(hs), max(hs)
-        if hs.count(low) != 1 or hs.count(high) != 1 or high - low != k:
-            bad.append(cube.cid)
-            continue
-        lo, sub_hi = c[hs.index(low)], subcells(c[hs.index(high)])
+        h0 = hs[0]
+        if [x - h0 for x in hs] == _ranks(k):
+            lo, hi = c[0], c[-1]
+            twin = above[lo].setdefault(hi, cube)
+            if twin is not cube:
+                tangled.update(c, twin.corners)
+            below[hi].append(cube)
+        else:
+            tangled.update(c)
+            if k == 1 and abs(hs[0] - hs[1]) != 1:
+                bad_edges.append(cube.cid)
+            elif k == 2:
+                d1 = sorted((hs[0], hs[3]))
+                d2 = sorted((hs[1], hs[2]))
+                flat, split = (d1, d2) if d1[0] == d1[1] else (d2, d1)
+                if flat[0] != flat[1] or split != [flat[0] - 1, flat[0] + 1]:
+                    bad_squares.append(cube.cid)
+            low, high = min(hs), max(hs)
+            if hs.count(low) != 1 or hs.count(high) != 1 or high - low != k:
+                bad_cubes.append(cube.cid)
+                continue
+            lo, hi = c[hs.index(low)], c[hs.index(high)]
+        sub_hi = subcells(hi)
         for v in c:
             if v not in sub_hi or lo not in subcells(v):
-                bad.append(cube.cid)
+                bad_cubes.append(cube.cid)
                 break
-    checks.append(_verdict("cube-intervals", bad))
+    checks = [
+        _verdict("edge-heights", bad_edges),
+        _verdict("square-heights", bad_squares),
+        _verdict("cube-intervals", bad_cubes),
+    ]
 
     bad_links = []
     bad_sublinks = []
-    for v in sorted(X.vertices):
-        edges, faces, bigons = link_masks(X, v)
-        if bigons:
+    for v in X.vertices:
+        if v not in tangled:
+            ups = above[v].values()
+            downs = below[v]
+            if len(X.cells_at_vertex[v]) == (len(ups) + 1) * (len(downs) + 1):
+                parts = (_join_factor(ups, False), _join_factor(downs, True))
+                if all(p is not None and flag_failure(p) is None for p in parts):
+                    continue
+        link_fails, sublink_fails = _link_verdict(X, h, v)
+        if link_fails:
             bad_links.append(v)
-            continue
-        if flag_failure(faces) is None:
-            # the sublinks are full subcomplexes of a flag link, so flag too
-            continue
-        bad_links.append(v)
-        # an edge at v goes up when its other end is above v
-        up = sum(1 << k for k, e in enumerate(edges) if h[sum(X.cells[e].corners) - v] > h[v])
-        for side in (up, (1 << len(edges)) - 1 ^ up):
-            sub = {f for f in faces if f & ~side == 0}
-            if sub and flag_failure(sub) is not None:
-                bad_sublinks.append(v)
-                break
+        if sublink_fails:
+            bad_sublinks.append(v)
     checks.append(_verdict("links-flag", bad_links))
     checks.append(_verdict("sublinks-flag", bad_sublinks))
 
@@ -198,6 +218,9 @@ def verify_dual_axioms(D):
                 a, b = down_w[i], down_w[j]
                 commons = [u for u in adj[a].keys() & adj[b] if h[u] == h[w] - 2]
                 for u in commons:
+                    sq = above[u].get(w)  # a graded square, filed by its extreme corners
+                    if sq is not None and sq.dim == 2 and {a, b} == {sq.corners[1], sq.corners[2]}:
+                        continue
                     if D.square_by_corners({u, a, b, w}) is None:
                         bad.append((u, a, b, w))
     checks.append(_verdict("interval-complete", bad))
@@ -209,6 +232,55 @@ def _verdict(name, bad):
     if not bad:
         return (name, "pass", "")
     return (name, "fail", f"{len(bad)} violations, first {sorted(bad)[:3]}")
+
+
+# by k, the heights of the corners of a graded k-cube above its corner 0
+_RANKS = {}
+
+
+def _ranks(k):
+    got = _RANKS.get(k)
+    if got is None:
+        got = _RANKS[k] = [b.bit_count() for b in range(1 << k)]
+    return got
+
+
+def _join_factor(cells, top):
+    """The masks of one part of a vertex link: each cell gives the corners next
+    to its highest (``top``) or lowest corner, one bit per corner. None when
+    two cells give one mask."""
+    bit = {}
+    masks = set()
+    for cube in cells:
+        c = cube.corners
+        n = len(c) - 1 if top else 0
+        mask = 0
+        for i in range(cube.dim):
+            w = c[n ^ 1 << i]
+            b = bit.get(w)
+            if b is None:
+                b = bit[w] = 1 << len(bit)
+            mask |= b
+        masks.add(mask)
+    return masks if len(masks) == len(cells) else None
+
+
+def _link_verdict(X, h, v):
+    """Whether the link of ``v`` fails, and whether one of its full ascending
+    and descending sublinks does, read from the whole link."""
+    edges, faces, bigons = link_masks(X, v)
+    if bigons:
+        return True, False
+    if flag_failure(faces) is None:
+        # the sublinks are full subcomplexes of a flag link, so flag too
+        return False, False
+    # an edge at v goes up when its other end is above v
+    up = sum(1 << k for k, e in enumerate(edges) if h[sum(X.cells[e].corners) - v] > h[v])
+    for side in (up, (1 << len(edges)) - 1 ^ up):
+        sub = {f for f in faces if f & ~side == 0}
+        if sub and flag_failure(sub) is not None:
+            return True, True
+    return True, False
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from functools import lru_cache
 from itertools import product
 
 from cubemill.dual import build_dual
+from cubemill.errors import CellNotFound
 from cubemill.fixtures import fixture
 from cubemill.folding import mirrors
 
@@ -17,6 +18,14 @@ def dual_of(name):
 def mirror_list(name):
     f = fixture(name)
     return tuple(mirrors(f.complex, f.labels))
+
+
+def outcome(fn, *args):
+    """The value, or the message of the CellNotFound raised instead."""
+    try:
+        return fn(*args)
+    except CellNotFound as e:
+        return str(e)
 
 
 def deep_certificate_text(p, inner, depth):

@@ -45,7 +45,7 @@ from cubemill.folding import (
 )
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
-from helpers import cube_grid_cells, grid_squares
+from helpers import cube_grid_cells, grid_squares, outcome
 
 CASES = (
     *FIXTURE_NAMES,
@@ -426,9 +426,9 @@ def _cube_with_twisted_facets():
 def test_edges_at_corner_and_links_on_twisted_facets():
     X = _cube_with_twisted_facets()
     (cube,) = X.by_dim[3]
-    outcomes = [_outcome(X.edges_at_corner, cube, b) for b in range(8)]
+    outcomes = [outcome(X.edges_at_corner, cube, b) for b in range(8)]
     assert outcomes == [
-        _outcome(reference.edges_at_corner_by_subcells, X, cube, b) for b in range(8)
+        outcome(reference.edges_at_corner_by_subcells, X, cube, b) for b in range(8)
     ]
     assert sum(isinstance(o, str) for o in outcomes) == 2  # the ends of {0, 1}
     _assert_subdivision_and_links_match(X)
@@ -478,22 +478,14 @@ def _reference_link_faces(X, v):
     return list(vertices), set(faces), bigons
 
 
-def _outcome(fn, *args):
-    """The value, or the message of the CellNotFound raised instead."""
-    try:
-        return fn(*args)
-    except CellNotFound as e:
-        return str(e)
-
-
 def _assert_subdivision_and_links_match(X):
-    S = _outcome(cubical_subdivision, X)
+    S = outcome(cubical_subdivision, X)
     got = _cells(S) if isinstance(S, CubicalComplex) else S
-    assert got == _outcome(reference.cubical_subdivision, X)
+    assert got == outcome(reference.cubical_subdivision, X)
     for Y in (X, S) if isinstance(S, CubicalComplex) else (X,):
         for v in Y.vertices:
-            want = _outcome(_reference_link_faces, Y, v)
-            assert _outcome(_masks_as_edges, Y, v) == want, v
+            want = outcome(_reference_link_faces, Y, v)
+            assert outcome(_masks_as_edges, Y, v) == want, v
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -624,7 +616,7 @@ def test_link_condition_and_specialness_match_on_random_families(lists):
     lists = [arr for arr in lists if len(set(arr)) == len(arr)]
     assume(lists)
     X = _glued_by_corner_sets(lists)
-    assert _outcome(check_npc, X) == _outcome(reference.check_npc, X)
+    assert outcome(check_npc, X) == outcome(reference.check_npc, X)
     assert check_special(X) == reference.check_special(X)
 
 
