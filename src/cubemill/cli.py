@@ -73,6 +73,16 @@ def _fixture(name):
         raise click.UsageError(str(e)) from None
 
 
+def _read_text(path):
+    """The text of a UTF-8 file, its line ends read as by ``open``; other bytes
+    are a ``FormatError`` that names the offset of the first bad one."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8: {e.reason} at byte {e.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_complex(fixture_name, in_path, simplicial_ok=False):
     """Resolve the input complex and the folding labels that came with it.
 
@@ -84,7 +94,7 @@ def _load_complex(fixture_name, in_path, simplicial_ok=False):
     if fixture_name is not None:
         f = _fixture(fixture_name)
         return f.complex, f.labels
-    X = formats.parse_complex(Path(in_path).read_text())
+    X = formats.parse_complex(_read_text(in_path))
     if isinstance(X, SimplicialComplex) and not simplicial_ok:
         raise FormatError("this subcommand wants a cubical or cw complex", field="kind")
     return X, None
@@ -94,7 +104,7 @@ def _resolve_labels(X, own_labels, folding_path):
     """A verified folding for ``X``: an explicit file wins, then the labels
     shipped with the input, then a fresh search."""
     if folding_path is not None:
-        labels = formats.parse_folding(Path(folding_path).read_text())
+        labels = formats.parse_folding(_read_text(folding_path))
         assert_folding(X, labels)
         return labels, "file"
     if own_labels is not None:
@@ -193,12 +203,12 @@ def gromov(in_path, folding_path, do_verify, out):
     """Hyperbolize a simplicial complex; the artifact is the result complex."""
     if in_path is None:
         raise click.UsageError("gromov wants --in with a simplicial complex file")
-    K = formats.parse_complex(Path(in_path).read_text())
+    K = formats.parse_complex(_read_text(in_path))
     if not isinstance(K, SimplicialComplex):
         raise FormatError("gromov wants a simplicial complex", field="kind")
     labels = None
     if folding_path is not None:
-        labels = formats.parse_folding(Path(folding_path).read_text())
+        labels = formats.parse_folding(_read_text(folding_path))
     r = gromov_hyperbolize(K, labels)
     payload = {
         "counts": _counts(r.complex),
@@ -399,7 +409,7 @@ def verify(fixture_name, in_path, loop_text, cert_path):
     X, _labels = _load_complex(fixture_name, in_path)
     D = build_dual(X)
     loop = _parse_loop(loop_text)
-    cert = formats.parse_certificate(Path(cert_path).read_text())
+    cert = formats.parse_certificate(_read_text(cert_path))
     valid = verify_certificate(D, loop, cert)
     _emit({"valid": valid}, code=0 if valid else 1)
 

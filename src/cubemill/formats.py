@@ -5,6 +5,9 @@ Every serializer is deterministic: repeated calls on equal inputs emit
 identical bytes, and parsing a serialized document and serializing it again
 reproduces the canonical form of the original. Parse failures raise
 :class:`FormatError` carrying a line or field diagnostic.
+
+Certificates are read in one pass over their non-blank lines, each move line
+parsed once per certificate; a deep certificate costs memory, not recursion.
 """
 
 import json
@@ -246,112 +249,114 @@ def _emit_cert(cert, out):
             raise ValueError(f"unknown certificate node {cert!r}")
 
 
-class _Lines:
-    def __init__(self, text):
-        self.rows = []
-        for n, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((n, body))
-        self.pos = 0
-
-    def peek(self):
-        if self.pos >= len(self.rows):
-            raise FormatError("unexpected end of certificate")
-        return self.rows[self.pos]
-
-    def take(self):
-        row = self.peek()
-        self.pos += 1
-        return row
-
-    def expect(self, word):
-        n, body = self.take()
-        if body != word:
-            raise FormatError(f"expected {word!r}", line=n)
-        return n
-
-
-def _ints(parts, n):
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise FormatError("expected integers", line=n) from None
+_EOF = "unexpected end of certificate"
 
 
 def parse_certificate(text):
-    """Parse certificate text. Open splits wait on an explicit stack, so the
-    nesting depth is bounded by memory and not by the recursion limit."""
-    lines = _Lines(text)
+    """Parse certificate text in one pass over its non-blank lines.
+
+    Open splits wait on an explicit stack, so the nesting depth is bounded by
+    memory and not by the recursion limit. A move line that repeats within
+    the text reuses the (frozen) move parsed from its first occurrence.
+    """
+    rows = []
+    for n, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        body = raw.strip()
+        if body:
+            rows.append((n, body))
+    moves_of = {}  # body of a move line -> the move it parsed to
     pending = []  # open splits: [header fields, left child or None]
+    i, end = 0, len(rows)
     while True:
-        n, body = lines.take()
+        if i == end:
+            raise FormatError(_EOF)
+        n, body = rows[i]
+        i += 1
         head = body.split()
         if head[0] == "split":
-            pending.append([_parse_split_head(lines, n, head), None])
-            lines.expect("left")
+            if (
+                len(head) != 7
+                or head[1] != "rotate"
+                or head[3] != "mirror"
+                or head[5] != "support"
+            ):
+                raise FormatError("expected 'split rotate K mirror M support S'", line=n)
+            try:
+                fields = [int(head[2]), int(head[4]), int(head[6])]
+            except ValueError:
+                raise FormatError("expected integers", line=n) from None
+            for word in ("bridge", "projected"):
+                if i == end:
+                    raise FormatError(_EOF)
+                n, body = rows[i]
+                i += 1
+                parts = body.split()
+                if parts[0] != word or len(parts) < 2:
+                    raise FormatError(f"expected a {word} line", line=n)
+                try:
+                    fields.append(tuple([int(x) for x in parts[1:]]))
+                except ValueError:
+                    raise FormatError("expected integers", line=n) from None
+            if i == end:
+                raise FormatError(_EOF)
+            n, body = rows[i]
+            i += 1
+            if body != "left":
+                raise FormatError("expected 'left'", line=n)
+            pending.append([fields, None])
             continue
-        node = _parse_chain(lines, n, head)
+        if head[0] != "chain":
+            raise FormatError(f"expected 'chain' or 'split', got {head[0]!r}", line=n)
+        if len(head) != 1:
+            raise FormatError("chain takes no arguments", line=n)
+        moves = []
+        while True:
+            if i == end:
+                raise FormatError(_EOF)
+            n, body = rows[i]
+            i += 1
+            mv = moves_of.get(body)
+            if mv is None:
+                parts = body.split()
+                word = parts[0]
+                if word == "end":
+                    if len(parts) != 1:
+                        raise FormatError("end takes no arguments", line=n)
+                    break
+                try:
+                    if word == "backtrack" and len(parts) == 2:
+                        mv = BacktrackRemoval(int(parts[1]))
+                    elif word == "slide" and len(parts) == 4:
+                        mv = SquareSlide(int(parts[1]), int(parts[2]), int(parts[3]))
+                    elif word == "rotate" and len(parts) == 2:
+                        mv = Rotate(int(parts[1]))
+                    else:
+                        raise FormatError(f"unknown move {body!r}", line=n)
+                except ValueError:
+                    raise FormatError("expected integers", line=n) from None
+                moves_of[body] = mv
+            moves.append(mv)
+        node = MoveChain(tuple(moves))
         while pending and pending[-1][1] is not None:
             fields, left = pending.pop()
-            lines.expect("end")
+            if i == end:
+                raise FormatError(_EOF)
+            n, body = rows[i]
+            i += 1
+            if body != "end":
+                raise FormatError("expected 'end'", line=n)
             node = Split(*fields, left, node)
         if not pending:
             break
         pending[-1][1] = node
-        lines.expect("right")
-    if lines.pos != len(lines.rows):
-        n, _body = lines.peek()
-        raise FormatError("trailing content after certificate", line=n)
+        if i == end:
+            raise FormatError(_EOF)
+        n, body = rows[i]
+        i += 1
+        if body != "right":
+            raise FormatError("expected 'right'", line=n)
+    if i != end:
+        raise FormatError("trailing content after certificate", line=rows[i][0])
     return node
-
-
-def _parse_chain(lines, n, head):
-    if head[0] != "chain":
-        raise FormatError(f"expected 'chain' or 'split', got {head[0]!r}", line=n)
-    if len(head) != 1:
-        raise FormatError("chain takes no arguments", line=n)
-    moves = []
-    while True:
-        n, body = lines.take()
-        parts = body.split()
-        if parts[0] == "end":
-            if len(parts) != 1:
-                raise FormatError("end takes no arguments", line=n)
-            return MoveChain(tuple(moves))
-        if parts[0] == "backtrack" and len(parts) == 2:
-            (j,) = _ints(parts[1:], n)
-            moves.append(BacktrackRemoval(j))
-        elif parts[0] == "slide" and len(parts) == 4:
-            j, w, sq = _ints(parts[1:], n)
-            moves.append(SquareSlide(j, w, sq))
-        elif parts[0] == "rotate" and len(parts) == 2:
-            (k,) = _ints(parts[1:], n)
-            moves.append(Rotate(k))
-        else:
-            raise FormatError(f"unknown move {body!r}", line=n)
-
-
-def _parse_split_head(lines, n, head):
-    """The rotate, mirror, support, bridge and projected fields of a split."""
-    if (
-        len(head) != 7
-        or head[1] != "rotate"
-        or head[3] != "mirror"
-        or head[5] != "support"
-    ):
-        raise FormatError(
-            "expected 'split rotate K mirror M support S'", line=n
-        )
-    rot, mirror, support = _ints([head[2], head[4], head[6]], n)
-    n2, body2 = lines.take()
-    parts = body2.split()
-    if parts[0] != "bridge" or len(parts) < 2:
-        raise FormatError("expected a bridge line", line=n2)
-    bridge = tuple(_ints(parts[1:], n2))
-    n3, body3 = lines.take()
-    parts = body3.split()
-    if parts[0] != "projected" or len(parts) < 2:
-        raise FormatError("expected a projected line", line=n3)
-    projected = tuple(_ints(parts[1:], n3))
-    return rot, mirror, support, bridge, projected

@@ -1,12 +1,15 @@
 """Cached per-fixture builders shared across test modules."""
 
+import random
 from functools import lru_cache
 from itertools import product
 
+from cubemill.complexes import CubicalComplex
 from cubemill.dual import build_dual
-from cubemill.errors import CellNotFound
-from cubemill.fixtures import fixture
-from cubemill.folding import mirrors
+from cubemill.errors import CellNotFound, FormatError
+from cubemill.fixtures import fixture, strip
+from cubemill.folding import find_folding, mirrors
+from cubemill.surgery import Split, contract_loop, random_loop
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +29,48 @@ def outcome(fn, *args):
         return fn(*args)
     except CellNotFound as e:
         return str(e)
+
+
+def reading(parse, text):
+    """What ``parse`` makes of certificate text: the tree's nodes in depth
+    first order, or the type, message, line and field of the ``FormatError``.
+
+    The nodes are listed on an explicit stack, since ``==`` on a deep tree
+    recurses once per level.
+    """
+    try:
+        cert = parse(text)
+    except FormatError as e:
+        return type(e), str(e), e.line, e.field
+    nodes = []
+    todo = [cert]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Split):
+            nodes.append((Split, c.rotate, c.mirror_index, c.support_index, c.bridge, c.projected))
+            todo += (c.right, c.left)
+        else:
+            nodes.append((type(c), c.moves))
+    return nodes
+
+
+LARGER_COMPLEXES = {
+    "grid6x6": lambda: CubicalComplex.from_maximal_cells(grid_squares(6)),
+    "cubes3x3x3": lambda: CubicalComplex.from_maximal_cells(cube_grid_cells(3)),
+    "strip8": lambda: strip(8),
+}
+
+
+@lru_cache(maxsize=None)
+def fuzz_contractions(name):
+    """The dual of a complex in ``LARGER_COMPLEXES`` and the contraction fuzz
+    on it: 300 seeded loops, each with its certificate."""
+    X = LARGER_COMPLEXES[name]()
+    labels = find_folding(X)
+    D = build_dual(X)
+    rng = random.Random(20261018)
+    loops = [random_loop(D, rng, max_len=16) for _ in range(300)]
+    return D, tuple((p, contract_loop(D, p, labels)) for p in loops)
 
 
 def deep_certificate_text(p, inner, depth):

@@ -16,10 +16,11 @@ the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
 every dual vertex, the sublinks of every dual vertex checked for
-flagness, the folding search recursing once per parallelism class, and
+flagness, the folding search recursing once per parallelism class,
 folding verification reading each corner's label bits from its string,
-and loop surgery scanning every mirror for the first crossing and pinning
-every mirror that meets the support in a projection.
+loop surgery scanning every mirror for the first crossing and pinning
+every mirror that meets the support in a projection, and the certificate
+reader taking one method call per line and building every move it reads.
 Differential tests compare the library against them.
 """
 
@@ -40,9 +41,19 @@ from cubemill.complexes import (
 )
 from cubemill.curvature import NpcReport, NpcViolation, PathologyReport
 from cubemill.dual import _verdict, tops_containing
-from cubemill.errors import CarrierViolation, CellNotFound, InternalError, NotABridge
+from cubemill.errors import CarrierViolation, CellNotFound, FormatError, InternalError, NotABridge
 from cubemill.folding import _DSU, FoldingObstruction, Mirror, _label_of, parallelism_classes
-from cubemill.surgery import _axes, _strip_backtracks, check_edge_path, crossings
+from cubemill.surgery import (
+    BacktrackRemoval,
+    MoveChain,
+    Rotate,
+    SquareSlide,
+    Split,
+    _axes,
+    _strip_backtracks,
+    check_edge_path,
+    crossings,
+)
 
 
 def framings(X, M):
@@ -690,3 +701,114 @@ def project_bridge(ctx, q, M):
         if v != out[-1]:
             out.append(v)
     return _strip_backtracks(tuple(out))
+
+
+class _Lines:
+    def __init__(self, text):
+        self.rows = []
+        for n, raw in enumerate(text.splitlines(), start=1):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                self.rows.append((n, body))
+        self.pos = 0
+
+    def peek(self):
+        if self.pos >= len(self.rows):
+            raise FormatError("unexpected end of certificate")
+        return self.rows[self.pos]
+
+    def take(self):
+        row = self.peek()
+        self.pos += 1
+        return row
+
+    def expect(self, word):
+        n, body = self.take()
+        if body != word:
+            raise FormatError(f"expected {word!r}", line=n)
+        return n
+
+
+def _ints(parts, n):
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise FormatError("expected integers", line=n) from None
+
+
+def parse_certificate(text):
+    """Parse certificate text. Open splits wait on an explicit stack, so the
+    nesting depth is bounded by memory and not by the recursion limit."""
+    lines = _Lines(text)
+    pending = []  # open splits: [header fields, left child or None]
+    while True:
+        n, body = lines.take()
+        head = body.split()
+        if head[0] == "split":
+            pending.append([_parse_split_head(lines, n, head), None])
+            lines.expect("left")
+            continue
+        node = _parse_chain(lines, n, head)
+        while pending and pending[-1][1] is not None:
+            fields, left = pending.pop()
+            lines.expect("end")
+            node = Split(*fields, left, node)
+        if not pending:
+            break
+        pending[-1][1] = node
+        lines.expect("right")
+    if lines.pos != len(lines.rows):
+        n, _body = lines.peek()
+        raise FormatError("trailing content after certificate", line=n)
+    return node
+
+
+def _parse_chain(lines, n, head):
+    if head[0] != "chain":
+        raise FormatError(f"expected 'chain' or 'split', got {head[0]!r}", line=n)
+    if len(head) != 1:
+        raise FormatError("chain takes no arguments", line=n)
+    moves = []
+    while True:
+        n, body = lines.take()
+        parts = body.split()
+        if parts[0] == "end":
+            if len(parts) != 1:
+                raise FormatError("end takes no arguments", line=n)
+            return MoveChain(tuple(moves))
+        if parts[0] == "backtrack" and len(parts) == 2:
+            (j,) = _ints(parts[1:], n)
+            moves.append(BacktrackRemoval(j))
+        elif parts[0] == "slide" and len(parts) == 4:
+            j, w, sq = _ints(parts[1:], n)
+            moves.append(SquareSlide(j, w, sq))
+        elif parts[0] == "rotate" and len(parts) == 2:
+            (k,) = _ints(parts[1:], n)
+            moves.append(Rotate(k))
+        else:
+            raise FormatError(f"unknown move {body!r}", line=n)
+
+
+def _parse_split_head(lines, n, head):
+    """The rotate, mirror, support, bridge and projected fields of a split."""
+    if (
+        len(head) != 7
+        or head[1] != "rotate"
+        or head[3] != "mirror"
+        or head[5] != "support"
+    ):
+        raise FormatError(
+            "expected 'split rotate K mirror M support S'", line=n
+        )
+    rot, mirror, support = _ints([head[2], head[4], head[6]], n)
+    n2, body2 = lines.take()
+    parts = body2.split()
+    if parts[0] != "bridge" or len(parts) < 2:
+        raise FormatError("expected a bridge line", line=n2)
+    bridge = tuple(_ints(parts[1:], n2))
+    n3, body3 = lines.take()
+    parts = body3.split()
+    if parts[0] != "projected" or len(parts) < 2:
+        raise FormatError("expected a projected line", line=n3)
+    projected = tuple(_ints(parts[1:], n3))
+    return rot, mirror, support, bridge, projected

@@ -19,7 +19,7 @@ from cubemill.dual import build_dual
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.formats import MAX_CELL_DIM, parse_complex
 from cubemill.surgery import random_loop
-from helpers import deep_certificate_text, dual_of
+from helpers import deep_certificate_text, dual_of, reading
 
 runner = CliRunner()
 
@@ -112,6 +112,42 @@ def test_verify_rejects_malformed_certificates(tmp_path):
     r = run("verify", "--fixture", "sq1", "--loop", "0,1,4,3,0", "--cert", str(cert))
     assert r.exit_code == 2
     assert payload(r)["error"] == "FormatError"
+
+
+BAD = "bad.json"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("validate", "--in", BAD),
+        ("fold", "--fixture", "grid2", "--folding", BAD),
+        ("gromov", "--in", BAD),
+        ("verify", "--fixture", "grid2", "--loop", "19,7,20,24,17,7,19", "--cert", BAD),
+    ],
+    ids=["validate", "fold", "gromov", "verify"],
+)
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, args):
+    bad = tmp_path / BAD
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    r = run(*(str(bad) if a == BAD else a for a in args))
+    assert r.exit_code == 2
+    assert payload(r) == {
+        "error": "FormatError",
+        "detail": "not UTF-8: invalid start byte at byte 0",
+    }
+    bad.write_bytes('{"kind": "cubical", "maximal": [[0]]} # é'.encode()[:-1])
+    r = run(*(str(bad) if a == BAD else a for a in args))
+    assert r.exit_code == 2
+    assert payload(r)["detail"] == "not UTF-8: unexpected end of data at byte 40"
+
+
+def test_json_lines_count_bare_carriage_returns(tmp_path):
+    path = tmp_path / "cr.json"
+    path.write_bytes(b'{\r  "kind": "cubical",\r  "maximal": [\r}\r')
+    r = run("validate", "--in", str(path))
+    assert r.exit_code == 2
+    assert payload(r)["detail"].endswith("(line 4)")
 
 
 def test_verify_replays_a_deep_certificate(tmp_path):
@@ -217,6 +253,8 @@ def test_a_9001_vertex_loop_contracts_and_verifies(tmp_path):
     r = run("verify", "--fixture", "grid2", "--loop", loop, "--cert", str(cert))
     assert r.exit_code == 0
     assert payload(r) == {"valid": True}
+    text = cert.read_text()
+    assert reading(formats.parse_certificate, text) == reading(reference.parse_certificate, text)
 
 
 def test_validate_and_fold_on_a_star_of_1000_edges(tmp_path):

@@ -16,7 +16,7 @@ from cubemill.errors import (
     NotInTile,
     Unsupported,
 )
-from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names, strip
+from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
 from cubemill.dual import build_dual, tops_containing
 from cubemill.folding import find_folding
 from cubemill.formats import parse_certificate, serialize_certificate
@@ -42,7 +42,14 @@ from cubemill.surgery import (
     surgery_step,
     verify_certificate,
 )
-from helpers import cube_grid_cells, deep_certificate_text, dual_of, grid_squares, mirror_list
+from helpers import (
+    LARGER_COMPLEXES,
+    deep_certificate_text,
+    dual_of,
+    fuzz_contractions,
+    grid_squares,
+    mirror_list,
+)
 
 
 def _ctx(name):
@@ -186,7 +193,7 @@ def test_crossings_refuse_a_path_that_skips_off_the_region():
 def _side_cases():
     for name in FIXTURE_NAMES:
         yield name, _ctx(name)
-    for name, build in _LARGER.items():
+    for name, build in LARGER_COMPLEXES.items():
         X = build()
         yield name, surgery_context(build_dual(X), find_folding(X))
 
@@ -672,13 +679,6 @@ def test_torus_meridian_is_refused_on_every_call():
         assert type(refused.value) is Unsupported
 
 
-_LARGER = {
-    "grid6x6": lambda: CubicalComplex.from_maximal_cells(grid_squares(6)),
-    "cubes3x3x3": lambda: CubicalComplex.from_maximal_cells(cube_grid_cells(3)),
-    "strip8": lambda: strip(8),
-}
-
-
 # SHA-256 of the 300 certificate texts in order; a change means the
 # certificates changed, not only the code that finds them
 @pytest.mark.parametrize(
@@ -688,18 +688,13 @@ _LARGER = {
         ("cubes3x3x3", "e85127280c74afab19be066d0b2cd1b8a9f50fd1a4b746e38f0132db79a304ac"),
         ("strip8", "ab7184c0c821ab9564c86d82c0b8bb877c4f3a194c449d829f529630865b2d18"),
     ],
-    ids=list(_LARGER),
+    ids=list(LARGER_COMPLEXES),
 )
 def test_contraction_fuzz_on_larger_complexes(name, digest):
-    X = _LARGER[name]()
-    labels = find_folding(X)
-    D = build_dual(X)
-    rng = random.Random(20261018)
+    D, contractions = fuzz_contractions(name)
     splits = 0
     h = hashlib.sha256()
-    for _ in range(300):
-        p = random_loop(D, rng, max_len=16)
-        cert = contract_loop(D, p, labels)
+    for p, cert in contractions:
         assert verify_certificate(D, p, cert), p
         assert oracle.null_homotopic(name, D, p), p
         splits += isinstance(cert, Split)
