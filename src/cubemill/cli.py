@@ -74,13 +74,12 @@ def _fixture(name):
 
 
 def _read_text(path):
-    """The text of a UTF-8 file, its line ends read as by ``open``; other bytes
-    are a ``FormatError`` that names the offset of the first bad one."""
+    """The text of a UTF-8 file; other bytes are a ``FormatError`` that names
+    the offset of the first bad one."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"not UTF-8: {e.reason} at byte {e.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_complex(fixture_name, in_path, simplicial_ok=False):

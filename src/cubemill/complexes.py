@@ -295,7 +295,7 @@ def validate_cubical(corner_lists):
 # the complex proper
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cube:
     cid: int
     corners: tuple  # vertex ids, bitmask position order, canonical
@@ -303,24 +303,17 @@ class Cube:
     # read on every cell visit, so stored once rather than recomputed
     dim: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", len(self.corners).bit_length() - 1)
+    def __init__(self, cid, corners, facets):
+        # a frozen instance refuses attribute writes, so the slots are set
+        # through their descriptors: one write each, no __post_init__ pass
+        set_cid, set_corners, set_facets, set_dim = _SET_SLOTS
+        set_cid(self, cid)
+        set_corners(self, corners)
+        set_facets(self, facets)
+        set_dim(self, len(corners).bit_length() - 1)
 
 
 _SET_SLOTS = tuple(Cube.__dict__[f].__set__ for f in ("cid", "corners", "facets", "dim"))
-
-
-def _cube(cid, corners, facets):
-    """A ``Cube`` written slot by slot: the constructors below build one per
-    cell, and the frozen ``__init__`` with its ``__post_init__`` costs twice
-    as much."""
-    c = object.__new__(Cube)
-    set_cid, set_corners, set_facets, set_dim = _SET_SLOTS
-    set_cid(c, cid)
-    set_corners(c, corners)
-    set_facets(c, facets)
-    set_dim(c, len(corners).bit_length() - 1)
-    return c
 
 
 class CubicalComplex:
@@ -376,7 +369,7 @@ class CubicalComplex:
         # a k-cube has 2^k corners, so (length, array) is (dimension, array) order
         order = sorted(facets_of, key=lambda a: (len(a), a))
         cid = {a: i for i, a in enumerate(order)}
-        cubes = [_cube(cid[a], a, tuple([cid[f] for f in facets_of[a]])) for a in order]
+        cubes = [Cube(cid[a], a, tuple([cid[f] for f in facets_of[a]])) for a in order]
         return cls(cubes, kind="cubical")
 
     @classmethod
@@ -414,7 +407,7 @@ class CubicalComplex:
         cubes = []
         for n in order:
             carr, cfacets = pre[n]
-            cubes.append(_cube(cid[n], carr, tuple(cid[f] for f in cfacets)))
+            cubes.append(Cube(cid[n], carr, tuple(cid[f] for f in cfacets)))
         names = {cid[n]: n for n in order}
         vertex_names = {v: n for n, v in vid.items()}
         X = cls(cubes, kind="cw", names=names, vertex_names=vertex_names)

@@ -6,8 +6,8 @@ identical bytes, and parsing a serialized document and serializing it again
 reproduces the canonical form of the original. Parse failures raise
 :class:`FormatError` carrying a line or field diagnostic.
 
-Certificates are read in one pass over their non-blank lines, each move line
-parsed once per certificate; a deep certificate costs memory, not recursion.
+Certificates are read in one pass over their non-blank lines; a deep
+certificate costs memory, not recursion.
 """
 
 import json
@@ -256,8 +256,7 @@ def parse_certificate(text):
     """Parse certificate text in one pass over its non-blank lines.
 
     Open splits wait on an explicit stack, so the nesting depth is bounded by
-    memory and not by the recursion limit. A move line that repeats within
-    the text reuses the (frozen) move parsed from its first occurrence.
+    memory and not by the recursion limit.
     """
     rows = []
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -266,14 +265,17 @@ def parse_certificate(text):
         body = raw.strip()
         if body:
             rows.append((n, body))
-    moves_of = {}  # body of a move line -> the move it parsed to
-    pending = []  # open splits: [header fields, left child or None]
-    i, end = 0, len(rows)
-    while True:
-        if i == end:
+    it = iter(rows)
+
+    def take():
+        row = next(it, None)
+        if row is None:
             raise FormatError(_EOF)
-        n, body = rows[i]
-        i += 1
+        return row
+
+    pending = []  # open splits: [header fields, left child or None]
+    while True:
+        n, body = take()
         head = body.split()
         if head[0] == "split":
             if (
@@ -288,10 +290,7 @@ def parse_certificate(text):
             except ValueError:
                 raise FormatError("expected integers", line=n) from None
             for word in ("bridge", "projected"):
-                if i == end:
-                    raise FormatError(_EOF)
-                n, body = rows[i]
-                i += 1
+                n, body = take()
                 parts = body.split()
                 if parts[0] != word or len(parts) < 2:
                     raise FormatError(f"expected a {word} line", line=n)
@@ -299,10 +298,7 @@ def parse_certificate(text):
                     fields.append(tuple([int(x) for x in parts[1:]]))
                 except ValueError:
                     raise FormatError("expected integers", line=n) from None
-            if i == end:
-                raise FormatError(_EOF)
-            n, body = rows[i]
-            i += 1
+            n, body = take()
             if body != "left":
                 raise FormatError("expected 'left'", line=n)
             pending.append([fields, None])
@@ -312,51 +308,41 @@ def parse_certificate(text):
         if len(head) != 1:
             raise FormatError("chain takes no arguments", line=n)
         moves = []
-        while True:
-            if i == end:
-                raise FormatError(_EOF)
-            n, body = rows[i]
-            i += 1
-            mv = moves_of.get(body)
-            if mv is None:
-                parts = body.split()
-                word = parts[0]
-                if word == "end":
-                    if len(parts) != 1:
-                        raise FormatError("end takes no arguments", line=n)
-                    break
-                try:
-                    if word == "backtrack" and len(parts) == 2:
-                        mv = BacktrackRemoval(int(parts[1]))
-                    elif word == "slide" and len(parts) == 4:
-                        mv = SquareSlide(int(parts[1]), int(parts[2]), int(parts[3]))
-                    elif word == "rotate" and len(parts) == 2:
-                        mv = Rotate(int(parts[1]))
-                    else:
-                        raise FormatError(f"unknown move {body!r}", line=n)
-                except ValueError:
-                    raise FormatError("expected integers", line=n) from None
-                moves_of[body] = mv
+        for n, body in it:  # the move lines: read here, not through take()
+            parts = body.split()
+            word = parts[0]
+            if word == "end":
+                if len(parts) != 1:
+                    raise FormatError("end takes no arguments", line=n)
+                break
+            try:
+                if word == "backtrack" and len(parts) == 2:
+                    mv = BacktrackRemoval(int(parts[1]))
+                elif word == "slide" and len(parts) == 4:
+                    mv = SquareSlide(int(parts[1]), int(parts[2]), int(parts[3]))
+                elif word == "rotate" and len(parts) == 2:
+                    mv = Rotate(int(parts[1]))
+                else:
+                    raise FormatError(f"unknown move {body!r}", line=n)
+            except ValueError:
+                raise FormatError("expected integers", line=n) from None
             moves.append(mv)
+        else:
+            raise FormatError(_EOF)
         node = MoveChain(tuple(moves))
         while pending and pending[-1][1] is not None:
             fields, left = pending.pop()
-            if i == end:
-                raise FormatError(_EOF)
-            n, body = rows[i]
-            i += 1
+            n, body = take()
             if body != "end":
                 raise FormatError("expected 'end'", line=n)
             node = Split(*fields, left, node)
         if not pending:
             break
         pending[-1][1] = node
-        if i == end:
-            raise FormatError(_EOF)
-        n, body = rows[i]
-        i += 1
+        n, body = take()
         if body != "right":
             raise FormatError("expected 'right'", line=n)
-    if i != end:
-        raise FormatError("trailing content after certificate", line=rows[i][0])
+    trailing = next(it, None)
+    if trailing is not None:
+        raise FormatError("trailing content after certificate", line=trailing[0])
     return node
