@@ -25,7 +25,7 @@ from itertools import combinations, groupby
 from math import factorial
 from operator import itemgetter
 
-from .errors import CellNotFound, FormatError, NotAdmissible, NotASubdivision, Unsupported
+from .errors import CellNotFound, FormatError, NotAdmissible, Unsupported
 
 # Most maximal flags ``barsub`` builds. A face on n vertices has n! maximal
 # flags and a top k-cube 2^k k!, and every flag is closed over its subsets,
@@ -61,10 +61,9 @@ def name_key(x):
 
 def array_dim(arr):
     n = len(arr)
-    k = n.bit_length() - 1
-    if n != 1 << k:
+    if not n or n & (n - 1):
         raise FormatError(f"corner list length {n} is not a power of two")
-    return k
+    return n.bit_length() - 1
 
 
 # readers of the corners of the facet ``coordinate i = side s`` of a cube
@@ -109,10 +108,11 @@ def canonical_corner_array(arr):
     cost is O(k 2^k) for a k-cube, not a search over its k! 2^k symmetries.
     """
     arr = tuple(arr)
-    if len(arr) < 3:
-        # vertices and edges, the most frequent calls: the least array is sorted
-        array_dim(arr)
-        return tuple(sorted(arr))
+    # vertices and edges, the most frequent calls, are valid and need no frame
+    if len(arr) == 1:
+        return arr
+    if len(arr) == 2:
+        return arr if arr[0] < arr[1] else (arr[1], arr[0])
     positions, _b0, _axes = _canonical_frame(arr)
     return tuple([arr[b] for b in positions])
 
@@ -134,16 +134,6 @@ def canonicalize_cell(arr, facets):
         s0 = (b0 >> i) & 1
         new_facets += [facets[2 * i + s0], facets[2 * i + 1 - s0]]
     return tuple([arr[b] for b in positions]), tuple(new_facets)
-
-
-def _canonical(arr):
-    # a 0-cell is its own array and an edge its sorted pair; both pass
-    # array_dim, and callers refuse repeated corners first
-    if len(arr) == 1:
-        return arr
-    if len(arr) == 2:
-        return arr if arr[0] < arr[1] else (arr[1], arr[0])
-    return canonical_corner_array(arr)
 
 
 def _is_face(arr, corners):
@@ -352,12 +342,14 @@ class CubicalComplex:
         for arr in lists:
             if len(set(arr)) != len(arr):
                 raise NotAdmissible(f"repeated corners in {arr}")
-            todo = [_canonical(arr)]
+            todo = [canonical_corner_array(arr)]
             while todo:
                 a = todo.pop()
                 if a not in facets_of:
                     k = len(a).bit_length() - 1
-                    fs = tuple(_canonical(face_array(a, i, s)) for i in range(k) for s in (0, 1))
+                    fs = tuple(
+                        canonical_corner_array(face_array(a, i, s)) for i in range(k) for s in (0, 1)
+                    )
                     facets_of[a] = fs
                     todo += fs
         return cls._from_facet_arrays(facets_of)
@@ -488,9 +480,6 @@ class CubicalComplex:
 
     def counts(self):
         return {d: len(cs) for d, cs in sorted(self.by_dim.items())}
-
-    def euler_characteristic(self):
-        return sum((-1) ** d * len(cs) for d, cs in self.by_dim.items())
 
     def top_cells(self):
         return sorted(c for c in self.cells if not self.cofaces[c])
@@ -745,9 +734,6 @@ class SimplicialComplex:
             out[len(f) - 1] = out.get(len(f) - 1, 0) + 1
         return dict(sorted(out.items()))
 
-    def euler_characteristic(self):
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.faces == other.faces
 
@@ -914,21 +900,3 @@ def cubical_subdivision(X):
                 facets_of[arr] = tuple([arrays[h] for q in order for h in halves[q]])
     return CubicalComplex._from_facet_arrays(facets_of)
 
-
-def check_subdivision(X, S):
-    """Verify that ``S`` is the cubical subdivision of ``X``.
-
-    Raises NotASubdivision with the first mismatch; vertex ids of ``S`` must
-    be the cell ids of ``X`` and the cell census must match exactly.
-    """
-    want = cubical_subdivision(X)
-    if sorted(S.vertices) != sorted(want.vertices):
-        raise NotASubdivision(
-            f"vertex sets differ: {len(S.vertices)} given, {len(want.vertices)} expected"
-        )
-    got = {(c.dim, c.corners) for c in S.cells.values()}
-    expected = {(c.dim, c.corners) for c in want.cells.values()}
-    if got != expected:
-        diff = sorted(expected ^ got)[:3]
-        raise NotASubdivision(f"cell census differs near {diff}")
-    return True

@@ -11,7 +11,7 @@ self-osculations and inter-osculations.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, link_masks, mask_bits
+from .complexes import link_masks, mask_bits
 from .folding import _label_of, parallelism_classes
 
 
@@ -40,17 +40,6 @@ def flag_failure(faces):
             return min(map(mask_bits, failures))
         level = grown
     return None
-
-
-def is_flag(S):
-    """(True, None) when every clique of the 1-skeleton spans a simplex;
-    otherwise (False, witness) with a least minimal non-face in name order."""
-    if not isinstance(S, SimplicialComplex):
-        raise TypeError("expected a simplicial complex")
-    # bit k is the k-th vertex in name order, so bit tuples compare as names do
-    bit = {v: 1 << k for k, v in enumerate(S.vertices)}
-    witness = flag_failure({sum(bit[v] for v in f) for f in S.faces})
-    return witness is None, witness and tuple(S.vertices[k] for k in witness)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class NotFoldable(CubemillError):
     """
 
 
-class NotASubdivision(CubemillError):
-    """A claimed subdivision relationship does not hold."""
-
-
 class UnsupportedDimension(CubemillError):
     """The operation is capped below the requested dimension."""
 

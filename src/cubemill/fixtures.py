@@ -112,82 +112,3 @@ def fixture(name):
     X, labels, sc, desc = builder()
     return Fixture(name, X, labels, sc, desc)
 
-
-def simply_connected_names():
-    return tuple(n for n in FIXTURE_NAMES if fixture(n).simply_connected)
-
-
-# ---------------------------------------------------------------------------
-# extra shapes for exercising edge cases
-
-
-def rose(m):
-    """m squares around a center: a wedge pair for m = 2, a cyclic umbrella
-    sharing consecutive spoke edges for m >= 3. Foldable exactly when m is
-    even."""
-    if m < 2:
-        raise ValueError("need at least two squares")
-    if m == 2:
-        return CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (0, 4, 5, 6)])
-    c = 0
-    u = [1 + i for i in range(m)]
-    w = [1 + m + i for i in range(m)]
-    squares = [(c, u[i], u[(i + 1) % m], w[i]) for i in range(m)]
-    return CubicalComplex.from_maximal_cells(squares)
-
-
-def tube(length):
-    """A triangular prism tube of the given length; never foldable."""
-
-    def v(i, j):
-        return 3 * j + (i % 3)
-
-    squares = [
-        (v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))
-        for j in range(length)
-        for i in range(3)
-    ]
-    return CubicalComplex.from_maximal_cells(squares)
-
-
-def strip(length):
-    """A flat row of squares; the planar, foldable cousin of the tube."""
-
-    def v(x, y):
-        return (length + 1) * y + x
-
-    squares = [(v(x, 0), v(x + 1, 0), v(x, 1), v(x + 1, 1)) for x in range(length)]
-    return CubicalComplex.from_maximal_cells(squares)
-
-
-def grid3():
-    """A 3 by 3 grid of squares with its checkerboard folding."""
-
-    def v(x, y):
-        return 4 * y + x
-
-    squares = [
-        (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
-        for x in range(3)
-        for y in range(3)
-    ]
-    X = CubicalComplex.from_maximal_cells(squares)
-    labels = {v(x, y): (x % 2, y % 2) for x in range(4) for y in range(4)}
-    return X, labels
-
-
-def two_triangles():
-    """Two triangles glued along an edge, with a folding reusing label 0."""
-    K = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
-    return K, {0: 0, 1: 1, 2: 2, 3: 0}
-
-
-def cone4():
-    """A cone over a 4-cycle; the apex link is the full cycle."""
-    K = SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
-    return K, {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
-
-
-def doubled_square_lists():
-    """Two squares with the same corner set; fails strict validation."""
-    return [(0, 1, 2, 3), (1, 0, 3, 2)]

@@ -11,8 +11,8 @@ against the dual complex without trusting the producer.
 The mirror-side data surgery reads is built once per dual complex and
 folding by ``surgery_context`` and kept on the dual complex, so after that
 first call the cost of contracting a loop follows the loop. It is the
-mirrors of the folding, whether each separates, for each separating mirror
-the side labels of its flank vertices, and an index from each dual vertex
+mirrors of the folding, for each mirror that separates the side labels of
+its flank vertices (None for the others), and an index from each dual vertex
 to the mirrors whose region holds it; a mirror's region is its own cell
 set. A loop crosses, and a path bridges, only mirrors it touches, so the
 crossing scan, the bridge search and the projection read only the mirrors
@@ -57,8 +57,7 @@ class SurgeryContext:
     D: object  # the DualComplex
     labels: dict  # a copy of the folding, vertex -> label tuple
     mirrors: tuple  # the canonical mirror list of the folding
-    separates: tuple  # per mirror, whether it separates its framings
-    sides: tuple  # per mirror, its flank side labels if it separates, else None
+    sides: tuple  # per mirror, its flank side labels if it separates its framings, else None
     refusal: object  # the first mirror that does not separate, or None
     holding: dict  # dual vertex -> ascending indices of the mirrors holding it
 
@@ -74,14 +73,15 @@ def surgery_context(D, labels):
     ctx = next((c for c in D._surgery if c.labels == labels), None)
     if ctx is None:
         ml = tuple(mirrors(D.source, labels))
-        seps = tuple(mirror_separates(D.source, M).separates for M in ml)
-        sides = tuple(dual_mirror(D, M) if sep else None for M, sep in zip(ml, seps))
-        refusal = next((M for M, sep in zip(ml, seps) if not sep), None)
+        sides = tuple(
+            dual_mirror(D, M) if mirror_separates(D.source, M).separates else None for M in ml
+        )
+        refusal = next((M for M, side in zip(ml, sides) if side is None), None)
         holding = {}
         for M in ml:
             for c in M.cells:
                 holding.setdefault(c, []).append(M.index)
-        ctx = SurgeryContext(D, dict(labels), ml, seps, sides, refusal, holding)
+        ctx = SurgeryContext(D, dict(labels), ml, sides, refusal, holding)
         D._surgery.append(ctx)
     return ctx
 
@@ -221,11 +221,11 @@ def crossings(ctx, p, M):
     a run through the basepoint counts once. A flank that no dual edge joins
     to its run is a ``ValueError``: the loop is not an edge path.
     """
-    if not ctx.separates[M.index]:
+    region, sides = M.cells, ctx.sides[M.index]
+    if sides is None:
         raise NonSeparatingMirror(f"mirror {M.index} does not separate")
     if not is_loop(p):
         raise ValueError("crossings are counted on loops")
-    region, sides = M.cells, ctx.sides[M.index]
     core = p[:-1] or p
     n = len(core)
     inside = [v in region for v in core]

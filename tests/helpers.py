@@ -1,13 +1,14 @@
-"""Cached per-fixture builders shared across test modules."""
+"""Cached per-fixture builders and extra shapes shared across test modules."""
 
 import random
 from functools import lru_cache
 from itertools import product
 
-from cubemill.complexes import CubicalComplex
+from cubemill.complexes import CubicalComplex, SimplicialComplex
+from cubemill.curvature import flag_failure
 from cubemill.dual import build_dual
 from cubemill.errors import CellNotFound, FormatError
-from cubemill.fixtures import fixture, strip
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import find_folding, mirrors
 from cubemill.surgery import Split, contract_loop, random_loop
 
@@ -114,3 +115,98 @@ def cube_grid_cells(k):
         tuple(v(x + (b & 1), y + (b >> 1 & 1), z + (b >> 2 & 1)) for b in range(8))
         for x, y, z in product(range(k), repeat=3)
     ]
+
+
+def simply_connected_names():
+    return tuple(n for n in FIXTURE_NAMES if fixture(n).simply_connected)
+
+
+# ---------------------------------------------------------------------------
+# extra shapes for exercising edge cases
+
+
+def rose(m):
+    """m squares around a center: a wedge pair for m = 2, a cyclic umbrella
+    sharing consecutive spoke edges for m >= 3. Foldable exactly when m is
+    even."""
+    if m < 2:
+        raise ValueError("need at least two squares")
+    if m == 2:
+        return CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (0, 4, 5, 6)])
+    c = 0
+    u = [1 + i for i in range(m)]
+    w = [1 + m + i for i in range(m)]
+    squares = [(c, u[i], u[(i + 1) % m], w[i]) for i in range(m)]
+    return CubicalComplex.from_maximal_cells(squares)
+
+
+def tube(length):
+    """A triangular prism tube of the given length; never foldable."""
+
+    def v(i, j):
+        return 3 * j + (i % 3)
+
+    squares = [
+        (v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))
+        for j in range(length)
+        for i in range(3)
+    ]
+    return CubicalComplex.from_maximal_cells(squares)
+
+
+def strip(length):
+    """A flat row of squares; the planar, foldable cousin of the tube."""
+
+    def v(x, y):
+        return (length + 1) * y + x
+
+    squares = [(v(x, 0), v(x + 1, 0), v(x, 1), v(x + 1, 1)) for x in range(length)]
+    return CubicalComplex.from_maximal_cells(squares)
+
+
+def grid3():
+    """A 3 by 3 grid of squares with its checkerboard folding."""
+
+    def v(x, y):
+        return 4 * y + x
+
+    squares = [
+        (v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1))
+        for x in range(3)
+        for y in range(3)
+    ]
+    X = CubicalComplex.from_maximal_cells(squares)
+    labels = {v(x, y): (x % 2, y % 2) for x in range(4) for y in range(4)}
+    return X, labels
+
+
+def two_triangles():
+    """Two triangles glued along an edge, with a folding reusing label 0."""
+    K = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    return K, {0: 0, 1: 1, 2: 2, 3: 0}
+
+
+def cone4():
+    """A cone over a 4-cycle; the apex link is the full cycle."""
+    K = SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+    return K, {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
+
+
+def doubled_square_lists():
+    """Two squares with the same corner set; fails strict validation."""
+    return [(0, 1, 2, 3), (1, 0, 3, 2)]
+
+
+def euler_characteristic(X):
+    """The alternating sum of the cell counts of a cubical or simplicial complex."""
+    return sum((-1) ** d * n for d, n in X.counts().items())
+
+
+def is_flag(S):
+    """(True, None) when every clique of the 1-skeleton of the simplicial
+    complex ``S`` spans a simplex; otherwise (False, witness) with a least
+    minimal non-face in name order. Bit k is the k-th vertex in name order, so
+    the bit tuples that ``flag_failure`` compares order as the names do."""
+    bit = {v: 1 << k for k, v in enumerate(S.vertices)}
+    witness = flag_failure({sum(bit[v] for v in f) for f in S.faces})
+    return witness is None, witness and tuple(S.vertices[k] for k in witness)

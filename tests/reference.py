@@ -11,7 +11,8 @@ subset of each face with their maximal faces by pairwise containment, every
 cell's subcells for hyperplane carriers, every osculating pair of
 hyperplanes kept as a specialness candidate, networkx clique enumeration for
 flagness (over the direct links for the link condition and the dual
-axioms), one scan of every cell per (coordinate, side) class for mirrors,
+axioms), hyperbolized links smoothed and compared by networkx isomorphism,
+one scan of every cell per (coordinate, side) class for mirrors,
 the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
@@ -649,6 +650,71 @@ def find_folding(X):
         return None
 
     return search(0)
+
+
+def _smoothed(g):
+    """Smooth away degree-2 vertices of a multigraph (loops stop smoothing)."""
+    g = nx.MultiGraph(g)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(g.nodes):
+            if g.degree(v) != 2:
+                continue
+            ends = [b if a == v else a for a, b, _k in g.edges(v, keys=True)]
+            if len(ends) != 2 or v in ends:
+                continue  # a loop at v; leave it
+            g.remove_node(v)
+            g.add_edge(ends[0], ends[1])
+            changed = True
+            break
+    return g
+
+
+def _vertex_link_multigraph(X, v):
+    """The link of a vertex as a true multigraph (bigons kept as parallel edges)."""
+    g = nx.MultiGraph()
+    for cid in X.cells_at_vertex[v]:
+        cube = X.cells[cid]
+        if cube.dim == 1:
+            g.add_node(cid)
+        elif cube.dim == 2:
+            e1, e2 = X.edges_at_corner(cid, cube.corners.index(v))
+            g.add_edge(e1, e2)
+    return g
+
+
+def _source_link_multigraph(K, v):
+    g = nx.MultiGraph()
+    for f in K.faces:
+        if v not in f:
+            continue
+        rest = sorted(f - {v}, key=name_key)
+        if len(rest) == 1:
+            g.add_node(rest[0])
+        elif len(rest) == 2:
+            g.add_edge(rest[0], rest[1])
+    return g
+
+
+def links_differ(result):
+    """The source vertices of a hyperbolization of dimension 1 or 2 whose
+    link is not homeomorphic to the link of their image: both links smoothed
+    and compared by networkx isomorphism."""
+    X, K = result.complex, result.source
+    image = {}
+    for cid, nm in X.names.items():
+        if X.cells[cid].dim == 0 and nm[0] == "f" and len(nm[1]) == 1:
+            (src_v,) = tuple(nm[1])
+            image[src_v] = X.cells[cid].corners[0]
+    bad = []
+    for v in sorted(K.vertices, key=name_key):
+        img = image.get(v)
+        if img is None or not nx.is_isomorphic(
+            _smoothed(_source_link_multigraph(K, v)), _smoothed(_vertex_link_multigraph(X, img))
+        ):
+            bad.append(v)
+    return bad
 
 
 def first_crossing(ctx, p):

@@ -18,7 +18,7 @@ from cubemill.curvature import check_npc, check_special, hyperplane_coordinate, 
 from cubemill.decomposition import build_all_trees
 from cubemill.dual import build_dual, verify_dual_axioms
 from cubemill.errors import NonSeparatingMirror, NotFoldable, Unsupported
-from cubemill.fixtures import cone4, fixture, rose, simply_connected_names, two_triangles
+from cubemill.fixtures import fixture
 from cubemill.folding import (
     assert_folding,
     canonical_barsub_folding,
@@ -38,6 +38,7 @@ from cubemill.surgery import (
     surgery_step,
     verify_certificate,
 )
+from helpers import cone4, rose, simply_connected_names, two_triangles
 
 
 def _verdict(label, t0, budget=None):

@@ -14,15 +14,15 @@ from cubemill.complexes import (
     barsub,
     canonical_corner_array,
     canonicalize_cell,
-    check_subdivision,
     cubical_subdivision,
     face_array,
     link_masks,
     validate_cubical,
     verify_cw,
 )
-from cubemill.errors import CellNotFound, NotAdmissible, NotASubdivision
-from cubemill.fixtures import doubled_square_lists, fixture
+from cubemill.errors import CellNotFound, FormatError, NotAdmissible
+from cubemill.fixtures import fixture
+from helpers import doubled_square_lists, euler_characteristic
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,17 @@ def test_from_maximal_cells_raises_on_invalid():
         CubicalComplex.from_maximal_cells(doubled_square_lists())
 
 
+@pytest.mark.parametrize("arr", [(), (0, 1, 2)], ids=["empty", "three"])
+def test_a_corner_list_of_bad_length_is_a_format_error(arr):
+    message = f"corner list length {len(arr)} is not a power of two"
+    with pytest.raises(FormatError, match=message):
+        validate_cubical([arr])
+    with pytest.raises(FormatError, match=message):
+        CubicalComplex.from_maximal_cells([arr], check=False)
+    with pytest.raises(FormatError, match=message):
+        canonical_corner_array(arr)
+
+
 def test_cylinder_of_two_squares_passes_relaxed_check():
     # doubled side edges and doubled squares over one corner set; the two
     # squares meet in the disjoint top and bottom edges, a legal intersection
@@ -156,7 +167,7 @@ def test_cylinder_of_two_squares_passes_relaxed_check():
     }
     X = CubicalComplex.from_named_cells(named)
     assert X.counts() == {0: 4, 1: 6, 2: 2}
-    assert X.euler_characteristic() == 0
+    assert euler_characteristic(X) == 0
     assert verify_cw(X).ok
 
 
@@ -186,11 +197,11 @@ def test_two_squares_glued_along_their_whole_boundary_fail_relaxed_check():
 def test_counts_and_euler_characteristic():
     X = fixture("cube1").complex
     assert X.counts() == {0: 8, 1: 12, 2: 6, 3: 1}
-    assert X.euler_characteristic() == 1
-    assert fixture("torus4").complex.euler_characteristic() == 0
+    assert euler_characteristic(X) == 1
+    assert euler_characteristic(fixture("torus4").complex) == 0
     five = CubicalComplex.from_maximal_cells([tuple(range(32))])
     assert five.counts() == {0: 32, 1: 80, 2: 80, 3: 40, 4: 10, 5: 1}
-    assert five.euler_characteristic() == 1
+    assert euler_characteristic(five) == 1
 
 
 def test_subcells_and_face_of():
@@ -319,7 +330,7 @@ def test_closure_and_vertex_order_match_every_subset(faces):
 def test_barsub_of_triangle():
     B = barsub(SimplicialComplex([(0, 1, 2)]))
     assert B.counts() == {0: 7, 1: 12, 2: 6}
-    assert B.euler_characteristic() == 1
+    assert euler_characteristic(B) == 1
 
 
 def test_barsub_counts_are_chain_counts():
@@ -338,7 +349,7 @@ def test_barsub_counts_are_chain_counts():
 def test_barsub_of_cubical_complex():
     B = barsub(fixture("sq1").complex)
     assert B.counts() == {0: 9, 1: 16, 2: 8}
-    assert B.euler_characteristic() == 1
+    assert euler_characteristic(B) == 1
 
 
 @given(
@@ -348,7 +359,7 @@ def test_barsub_of_cubical_complex():
 )
 def test_barsub_preserves_euler_characteristic(maximal):
     K = SimplicialComplex(maximal)
-    assert barsub(K).euler_characteristic() == K.euler_characteristic()
+    assert euler_characteristic(barsub(K)) == euler_characteristic(K)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +370,5 @@ def test_cubical_subdivision_census():
     X = fixture("sq1").complex
     S = cubical_subdivision(X)
     assert S.counts() == {0: 9, 1: 12, 2: 4}
-    assert check_subdivision(X, S)
-
-
-def test_check_subdivision_rejects_wrong_complex():
-    X = fixture("sq1").complex
-    other = cubical_subdivision(fixture("grid2").complex)
-    with pytest.raises(NotASubdivision):
-        check_subdivision(X, other)
+    cells = [(c.cid, c.corners, c.facets) for c in S.cells.values()]
+    assert cells == reference.cubical_subdivision(X)

@@ -6,10 +6,10 @@ import pytest
 import reference
 from cubemill.complexes import CubicalComplex
 from cubemill.decomposition import build_all_trees, build_tree
-from cubemill.fixtures import FIXTURE_NAMES, fixture, grid3, simply_connected_names, strip
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import find_folding, mirrors
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
-from helpers import cube_grid_cells, grid_squares
+from helpers import cube_grid_cells, grid3, grid_squares, simply_connected_names, strip
 from reference import incidence_graph, tree_verdicts
 
 

@@ -18,7 +18,7 @@ from cubemill.dual import (
     verify_dual_axioms,
 )
 from cubemill.errors import NotAdmissible, NotTopCell
-from cubemill.fixtures import doubled_square_lists, fixture
+from cubemill.fixtures import fixture
 from cubemill.folding import chambers_avoiding, mirror_separates
 from helpers import dual_of, grid_squares, mirror_list, outcome
 

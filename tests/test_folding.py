@@ -9,7 +9,7 @@ import reference
 from cubemill import folding
 from cubemill.complexes import CubicalComplex
 from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex
-from cubemill.fixtures import FIXTURE_NAMES, fixture, grid3, rose, strip, tube
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
     assert_folding,
     find_folding,
@@ -19,7 +19,7 @@ from cubemill.folding import (
     parallelism_classes,
     verify_folding,
 )
-from helpers import cube_grid_cells, grid_squares, mirror_list
+from helpers import cube_grid_cells, grid3, grid_squares, mirror_list, rose, strip, tube
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from cubemill.complexes import SimplicialComplex, barsub
 from cubemill.errors import FormatError
-from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.formats import (
     dumps_json,
     parse_certificate,
@@ -18,6 +18,7 @@ from cubemill.formats import (
 )
 from cubemill.dual import build_dual
 from cubemill.surgery import MoveChain, Split, contract_loop, random_loop
+from helpers import simply_connected_names
 
 
 def test_json_reports_are_canonical():

@@ -1,11 +1,23 @@
+import dataclasses
+import random
+
 import pytest
 
-from cubemill.complexes import SimplicialComplex, barsub
+import reference
+from cubemill.complexes import CubicalComplex, SimplicialComplex, barsub
 from cubemill.curvature import check_npc
 from cubemill.errors import InternalError, NotFoldable, UnsupportedDimension
-from cubemill.fixtures import cone4, fixture, two_triangles
+from cubemill.fixtures import fixture
 from cubemill.folding import canonical_barsub_folding, verify_folding
-from cubemill.gromov import _extract_half, gromov_hyperbolize, model, verify_gromov_properties
+from cubemill.gromov import (
+    _extract_half,
+    _links_differ,
+    boundary_complex,
+    gromov_hyperbolize,
+    model,
+    verify_gromov_properties,
+)
+from helpers import cone4, two_triangles
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +165,146 @@ def test_a_failed_model_guard_is_an_internal_error():
     cells = {a: ((a,), ()), b: ((b,), ())}
     with pytest.raises(InternalError, match="label swap leaves the complex"):
         _extract_half(cells)
+
+
+# ---------------------------------------------------------------------------
+# links
+
+
+def _links_status(result):
+    return {name: status for name, status, _d in verify_gromov_properties(result).checks}[
+        "links-preserved"
+    ]
+
+
+def _random_source(rng, dim, folded):
+    """A random pure complex of dimension 1 or 2 with the labels to hyperbolize
+    it by: a proper colouring when ``folded``, else None (the barycentric
+    subdivision)."""
+    if folded:
+        # one vertex of each colour class per simplex, colour v % (dim + 1)
+        classes = [range(c, 9, dim + 1) for c in range(dim + 1)]
+        pool = [tuple(rng.choice(cl) for cl in classes) for _ in range(8)]
+    else:
+        pool = [rng.sample(range(6), dim + 1) for _ in range(8)]
+    K = SimplicialComplex(rng.sample(pool, rng.randint(1, 6)))
+    return K, ({v: v % (dim + 1) for v in K.vertices} if folded else None)
+
+
+def _link_sources():
+    """The sources the link check runs on: the triangle and sphere fixtures
+    (the sphere is the boundary of the 3-simplex, subdivided), the glued
+    triangles, the cone, the boundary of the 2-simplex, and 40 seeded random
+    pure 2-complexes and 20 random graphs."""
+    yield "triangle", SimplicialComplex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2}
+    sphere = barsub(boundary_complex(3))
+    yield "sphere", sphere, canonical_barsub_folding(sphere)
+    yield ("two_triangles", *two_triangles())
+    yield ("cone4", *cone4())
+    yield "boundary2", boundary_complex(2), None
+    rng = random.Random(20261020)
+    for i in range(60):
+        dim = 2 if i < 40 else 1
+        yield (f"random{i}", *_random_source(rng, dim, folded=i % 2 == 0))
+
+
+def test_link_check_matches_networkx_homeomorphism():
+    rng = random.Random(7)
+    passed_corrupted = 0
+    for name, K, labels in _link_sources():
+        r = gromov_hyperbolize(K, labels)
+        assert _links_status(r) == "pass", name
+        assert reference.links_differ(r) == [], name
+        # corrupted sources: one simplex more, one maximal simplex fewer, and
+        # the vertices permuted; every pass must be a pass of the reference
+        S = r.source
+        top = list(S.maximal)
+        extra = tuple(rng.sample(S.vertices, min(3, len(S.vertices))))
+        perm = dict(zip(S.vertices, rng.sample(S.vertices, len(S.vertices))))
+        corrupted = [
+            SimplicialComplex(top + [extra]),
+            SimplicialComplex(top[1:] or [extra]),
+            SimplicialComplex([{perm[v] for v in f} for f in top]),
+        ]
+        for K2 in corrupted:
+            r2 = dataclasses.replace(r, source=K2)
+            if _links_status(r2) == "pass":
+                passed_corrupted += 1
+                assert reference.links_differ(r2) == [], name
+    assert passed_corrupted > 0
+
+
+@pytest.mark.parametrize(
+    "extra, differ",
+    [
+        # vertex 1 now has a cycle for its link, where its image has a path
+        ((0, 1, 3), [1]),
+        # vertex 9 has no image at all
+        ((9,), [9]),
+    ],
+)
+def test_an_extra_simplex_breaks_the_links(extra, differ):
+    K, colors = two_triangles()
+    r = gromov_hyperbolize(K, colors)
+    r2 = dataclasses.replace(r, source=SimplicialComplex([*K.maximal, extra]))
+    assert _links_status(r2) == "fail"
+    assert reference.links_differ(r2) == differ
+
+
+def test_a_relabelled_source_with_the_same_link_shapes_breaks_the_links():
+    K, colors = two_triangles()
+    r = gromov_hyperbolize(K, colors)
+    # swapping 0 and 1 keeps every link an edge or a path, so homeomorphism
+    # passes, but the link of 0 now names 1, 2 and 3 where its image names 1 and 2
+    K2 = SimplicialComplex([(1, 0, 2), (0, 2, 3)])
+    r2 = dataclasses.replace(r, source=K2)
+    assert reference.links_differ(r2) == []
+    assert _links_status(r2) == "fail"
+
+
+@pytest.mark.parametrize("extra", ["chord", "cycle"])
+def test_extra_squares_at_an_image_break_its_link(extra):
+    r = gromov_hyperbolize(SimplicialComplex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2})
+    X = r.complex
+    named = {
+        X.names[cid]: (
+            tuple(X.vertex_names[v] for v in cube.corners),
+            tuple(X.names[f] for f in cube.facets),
+        )
+        for cid, cube in X.cells.items()
+    }
+    img = next(nm for nm in X.vertex_names.values() if nm[0] == "f" and nm[1] == {0})
+
+    def new(*key):
+        return ("i", frozenset({0, 1, 2}), ("x", *key))
+
+    q = new("q")
+    named[q] = ((q,), ())
+    if extra == "chord":
+        # a square on the edges over {0, 1} and {0, 2}: a second path from
+        # link vertex 1 to link vertex 2 beside the one of the triangle
+        e1, e2 = (
+            next(nm for nm, (co, _f) in named.items() if len(co) == 2 and img in co and nm[1] == f)
+            for f in ({0, 1}, {0, 2})
+        )
+        p1, p2 = (next(c for c in named[e][0] if c != img) for e in (e1, e2))
+        twins = [()]
+    else:
+        # two squares that share both their edges at the image: every edge
+        # there still lies in two squares, but the new pair is a cycle of the
+        # link that no path from a link vertex reaches
+        p1, p2 = new("p1"), new("p2")
+        named[p1] = ((p1,), ())
+        named[p2] = ((p2,), ())
+        e1, e2 = new(img, p1), new(img, p2)
+        named[e1] = ((img, p1), (img, p1))
+        named[e2] = ((img, p2), (img, p2))
+        twins = [(), (1,)]
+    for twin in twins:
+        f1, f2 = new(p1, q, *twin), new(p2, q, *twin)
+        named[f1] = ((p1, q), (p1, q))
+        named[f2] = ((p2, q), (p2, q))
+        named[new("square", *twin)] = ((img, p1, p2, q), (e2, f1, e1, f2))
+    X2 = CubicalComplex.from_named_cells(named)
+    assert reference.links_differ(dataclasses.replace(r, complex=X2)) == [0]
+    assert _links_differ(X2, r.source) == [0]

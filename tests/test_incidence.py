@@ -35,7 +35,7 @@ from cubemill.complexes import (
 from cubemill.curvature import check_npc, check_special, hyperplanes
 from cubemill.dual import DualComplex, build_dual, verify_dual_axioms
 from cubemill.errors import CellNotFound, NotAdmissible
-from cubemill.fixtures import FIXTURE_NAMES, doubled_square_lists, fixture, strip
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
     chambers_avoiding,
     find_folding,
@@ -45,7 +45,7 @@ from cubemill.folding import (
 )
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
-from helpers import cube_grid_cells, grid_squares, outcome
+from helpers import cube_grid_cells, doubled_square_lists, grid_squares, outcome, strip
 
 CASES = (
     *FIXTURE_NAMES,

@@ -16,9 +16,9 @@ from cubemill.errors import (
     NotInTile,
     Unsupported,
 )
-from cubemill.fixtures import FIXTURE_NAMES, fixture, simply_connected_names
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.dual import build_dual, tops_containing
-from cubemill.folding import find_folding
+from cubemill.folding import find_folding, mirror_separates
 from cubemill.formats import parse_certificate, serialize_certificate
 from cubemill.surgery import (
     MoveChain,
@@ -49,6 +49,7 @@ from helpers import (
     fuzz_contractions,
     grid_squares,
     mirror_list,
+    simply_connected_names,
 )
 
 
@@ -203,8 +204,9 @@ def test_sides_label_each_flank_by_its_complement_component():
         adj = ctx.D.skeleton()
         for M in ctx.mirrors:
             sides = ctx.sides[M.index]
-            if not ctx.separates[M.index]:
-                assert sides is None, (name, M.index)
+            separates = mirror_separates(ctx.D.source, M).separates
+            assert (sides is not None) == separates, (name, M.index)
+            if sides is None:
                 continue
             flank = sorted({w for v in M.cells for w in adj[v] if w not in M.cells})
             _components, component_of = reference.complement_components(ctx.D, M)
