@@ -734,12 +734,6 @@ class SimplicialComplex:
             out[len(f) - 1] = out.get(len(f) - 1, 0) + 1
         return dict(sorted(out.items()))
 
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.faces == other.faces
-
-    def __hash__(self):
-        return hash(self.faces)
-
 
 # ---------------------------------------------------------------------------
 # barycentric subdivision (order complex of the face poset)

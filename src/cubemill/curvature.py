@@ -216,47 +216,3 @@ def check_special(X):
     return PathologyReport(
         tuple(sorted(self_int)), tuple(sorted(self_osc)), tuple(sorted(inter.values()))
     )
-
-
-# ---------------------------------------------------------------------------
-# mirrors versus hyperplane sides
-
-
-@dataclass(frozen=True)
-class CarryReport:
-    carried: bool
-    consistent: bool
-    side_faces: tuple
-
-
-def mirror_carries_hyperplane_side(X, labels, mirror, hp, side):
-    """Does the mirror contain the side-``side`` faces of the hyperplane's carrier?
-
-    For each carrier cube the side face is the facet whose corners all fold to
-    ``side`` in the hyperplane's coordinate. Containment is all-or-nothing for
-    a genuine mirror; ``consistent`` reports that, and ``carried`` is true when
-    every side face lies in the mirror (vacuously true when there are none).
-    """
-    n = X.dim
-    coord = hyperplane_coordinate(X, labels, hp)
-    lab = {v: _label_of(labels, v, n) for v in X.vertices}
-    side_faces = set()
-    for cid in hp.carriers:
-        cube = X.cells[cid]
-        # the cube coordinate that flips the folding coordinate of the class
-        jflip = None
-        for j in range(cube.dim):
-            a = lab[cube.corners[0]]
-            b = lab[cube.corners[1 << j]]
-            if a[coord] != b[coord]:
-                jflip = j
-                break
-        if jflip is None:
-            continue
-        base = lab[cube.corners[0]][coord]
-        s = 0 if base == side else 1
-        side_faces.add(cube.facets[2 * jflip + s])
-    inside = side_faces & mirror.cells
-    consistent = not inside or side_faces <= mirror.cells
-    carried = not side_faces or side_faces <= mirror.cells
-    return CarryReport(carried, consistent, tuple(sorted(side_faces)))

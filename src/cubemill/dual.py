@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .complexes import CheckReport, CubicalComplex, cubical_subdivision, link_masks, verify_cw
 from .curvature import flag_failure
-from .errors import NotAdmissible, NotTopCell
+from .errors import NotAdmissible
 
 
 @dataclass
@@ -79,23 +79,6 @@ def build_dual(X):
     D = cubical_subdivision(X)
     heights = {v: X.cells[v].dim for v in D.vertices}
     return DualComplex(D, X, heights)
-
-
-def dual_tile(D, top):
-    """All dual cells lying over faces of the given source top cell.
-
-    A dual cell [a, b] belongs to the tile of ``top`` exactly when b is a face
-    of ``top``, equivalently when every corner of the dual cell is one.
-    """
-    tops = set(D.source.top_cells())
-    if top not in tops:
-        raise NotTopCell(f"cell {top} is not a top cell of the source")
-    sub = D.source.subcells(top)
-    return frozenset(
-        cid
-        for cid, cube in D.complex.cells.items()
-        if set(cube.corners) <= sub
-    )
 
 
 def tops_containing(D, dual_vertices):

@@ -33,10 +33,6 @@ class NotAdmissible(CubemillError):
     """The complex fails the admissibility checks required by the operation."""
 
 
-class NotTopCell(CubemillError):
-    """A top-dimensional cell was required."""
-
-
 class Unsupported(CubemillError):
     """Honest refusal: the input is outside the theory this code implements."""
 

@@ -278,7 +278,6 @@ class GromovResult:
     complex: CubicalComplex
     folding: dict  # vertex id -> bit tuple
     tiles: dict  # source top simplex (frozenset) -> tuple of cell ids
-    provenance: dict  # cell id -> ("interior"|"stratum", source face frozenset)
     source: SimplicialComplex
 
 
@@ -288,7 +287,8 @@ def gromov_hyperbolize(K, labels=None):
     With ``labels`` a simplicial folding the complex is assembled directly;
     without one the barycentric subdivision with its dimension labels is used
     (always a folding). Returns the cubical complex, its induced cube
-    folding, the tile map, and per-cell provenance.
+    folding and the tile map; its ``names`` give each cell's source face, as
+    ``assemble`` names them.
     """
     if not isinstance(K, SimplicialComplex):
         raise TypeError("expected a simplicial complex")
@@ -308,10 +308,7 @@ def gromov_hyperbolize(K, labels=None):
     tiles = {
         s: tuple(sorted(cid_of[nm] for nm in names)) for s, names in asm.tiles.items()
     }
-    provenance = {}
-    for cid, nm in X.names.items():
-        provenance[cid] = ("interior", nm[1]) if nm[0] == "i" else ("stratum", nm[1])
-    return GromovResult(X, folding, tiles, provenance, K)
+    return GromovResult(X, folding, tiles, K)
 
 
 # ---------------------------------------------------------------------------

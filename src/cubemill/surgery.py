@@ -448,7 +448,6 @@ def contract_in_tile(D, p):
 @dataclass(frozen=True)
 class Bridge:
     start: int  # position in the ambient path
-    length: int
     path: tuple
     support_index: int  # least mirror the subpath bridges
 
@@ -478,7 +477,7 @@ def minimal_bridge(ctx, p):
         raise NotABridge("the path has no bridge subpath")
     end, neg_start, support = min(found)
     start = -neg_start
-    return Bridge(start, end - start, p[start : end + 1], support)
+    return Bridge(start, p[start : end + 1], support)
 
 
 def _axes(cube, labels):

@@ -1,15 +1,16 @@
-"""Cached per-fixture builders and extra shapes shared across test modules."""
+"""Cached per-fixture builders, extra shapes and test-only checks shared across test modules."""
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from cubemill.complexes import CubicalComplex, SimplicialComplex
-from cubemill.curvature import flag_failure
+from cubemill.curvature import flag_failure, hyperplane_coordinate
 from cubemill.dual import build_dual
 from cubemill.errors import CellNotFound, FormatError
 from cubemill.fixtures import FIXTURE_NAMES, fixture
-from cubemill.folding import find_folding, mirrors
+from cubemill.folding import _label_of, find_folding, mirrors
 from cubemill.surgery import Split, contract_loop, random_loop
 
 
@@ -210,3 +211,47 @@ def is_flag(S):
     bit = {v: 1 << k for k, v in enumerate(S.vertices)}
     witness = flag_failure({sum(bit[v] for v in f) for f in S.faces})
     return witness is None, witness and tuple(S.vertices[k] for k in witness)
+
+
+# ---------------------------------------------------------------------------
+# mirrors versus hyperplane sides
+
+
+@dataclass(frozen=True)
+class CarryReport:
+    carried: bool
+    consistent: bool
+    side_faces: tuple
+
+
+def mirror_carries_hyperplane_side(X, labels, mirror, hp, side):
+    """Does the mirror contain the side-``side`` faces of the hyperplane's carrier?
+
+    For each carrier cube the side face is the facet whose corners all fold to
+    ``side`` in the hyperplane's coordinate. Containment is all-or-nothing for
+    a genuine mirror; ``consistent`` reports that, and ``carried`` is true when
+    every side face lies in the mirror (vacuously true when there are none).
+    """
+    n = X.dim
+    coord = hyperplane_coordinate(X, labels, hp)
+    lab = {v: _label_of(labels, v, n) for v in X.vertices}
+    side_faces = set()
+    for cid in hp.carriers:
+        cube = X.cells[cid]
+        # the cube coordinate that flips the folding coordinate of the class
+        jflip = None
+        for j in range(cube.dim):
+            a = lab[cube.corners[0]]
+            b = lab[cube.corners[1 << j]]
+            if a[coord] != b[coord]:
+                jflip = j
+                break
+        if jflip is None:
+            continue
+        base = lab[cube.corners[0]][coord]
+        s = 0 if base == side else 1
+        side_faces.add(cube.facets[2 * jflip + s])
+    inside = side_faces & mirror.cells
+    consistent = not inside or side_faces <= mirror.cells
+    carried = not side_faces or side_faces <= mirror.cells
+    return CarryReport(carried, consistent, tuple(sorted(side_faces)))

@@ -16,7 +16,8 @@ one scan of every cell per (coordinate, side) class for mirrors,
 the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
-every dual vertex, the sublinks of every dual vertex checked for
+every dual vertex, each tile as the dual cells over faces of its top
+cell, the sublinks of every dual vertex checked for
 flagness, the folding search recursing once per parallelism class,
 folding verification reading each corner's label bits from its string,
 loop surgery scanning every mirror for the first crossing and pinning
@@ -465,6 +466,16 @@ def complement_components(D, M):
                     comp.append(w)
         components.append(frozenset(comp))
     return tuple(components), component_of
+
+
+def dual_tile(D, top):
+    """All dual cells lying over faces of the source top cell ``top``.
+
+    A dual cell [a, b] belongs to the tile of ``top`` exactly when b is a face
+    of ``top``, equivalently when every corner of the dual cell is one.
+    """
+    sub = D.source.subcells(top)
+    return frozenset(cid for cid, cube in D.complex.cells.items() if set(cube.corners) <= sub)
 
 
 def tree_edges(Y, mirror_list, i):

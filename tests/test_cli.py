@@ -67,6 +67,24 @@ def test_contract_refuses_the_torus_meridian():
     assert "separate" in doc["detail"]
 
 
+def test_the_mixed_complex_separates_everywhere_yet_refuses_its_circle(tmp_path):
+    # two squares on the corner 0, joined by the edges 3-7 and 7-6: every
+    # mirror separates, but the loop around the circle lies in no tile
+    path = tmp_path / "mixed.json"
+    path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 5, 6], [3, 7], [7, 6]]}')
+    labels = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0), 5: (0, 1), 6: (1, 1), 7: (1, 0)}
+    folding = tmp_path / "mixed_folding.json"
+    folding.write_text(formats.serialize_folding(labels))
+    r = run("mirrors", "--in", str(path), "--folding", str(folding))
+    assert r.exit_code == 0
+    rows = payload(r)["mirrors"]
+    assert len(rows) == 6 and all(row["separates"] for row in rows)
+    loop = "18,12,3,14,7,17,6,15,19,10,0,8,18"
+    r = run("contract", "--in", str(path), "--folding", str(folding), "--loop", loop)
+    assert r.exit_code == 1
+    assert payload(r) == {"error": "NotInTile", "detail": "no tile contains the path"}
+
+
 def test_contract_and_verify_round_trip(tmp_path):
     f = fixture("grid2")
     D = build_dual(f.complex)

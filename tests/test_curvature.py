@@ -13,11 +13,17 @@ from cubemill.curvature import (
     flag_failure,
     hyperplane_coordinate,
     hyperplanes,
-    mirror_carries_hyperplane_side,
 )
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import find_folding
-from helpers import dual_of, is_flag, mirror_list, rose, simply_connected_names
+from helpers import (
+    dual_of,
+    is_flag,
+    mirror_carries_hyperplane_side,
+    mirror_list,
+    rose,
+    simply_connected_names,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ from cubemill.complexes import CubicalComplex
 from cubemill.dual import (
     DualComplex,
     build_dual,
-    dual_tile,
     tops_containing,
     verify_dual_axioms,
 )
-from cubemill.errors import NotAdmissible, NotTopCell
-from cubemill.fixtures import fixture
+from cubemill.errors import NotAdmissible
+from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import chambers_avoiding, mirror_separates
-from helpers import dual_of, grid_squares, mirror_list, outcome
+from helpers import LARGER_COMPLEXES, dual_of, grid_squares, mirror_list, outcome
 
 FROZEN_COUNTS = {
     "sq1": {0: 9, 1: 12, 2: 4},
@@ -114,16 +113,21 @@ def test_adjacency_is_codimension_one_incidence():
 def test_dual_tile_of_square_has_nine_vertices():
     D = dual_of("sq1")
     (top,) = D.source.top_cells()
-    tile = dual_tile(D, top)
+    tile = reference.dual_tile(D, top)
     verts = [c for c in tile if D.complex.cells[c].dim == 0]
     assert len(verts) == 9
     assert len(tile) == 9 + 12 + 4
 
 
-def test_dual_tile_requires_top_cell():
-    D = dual_of("sq1")
-    with pytest.raises(NotTopCell):
-        dual_tile(D, D.source.by_dim[0][0])
+@pytest.mark.parametrize("name", FIXTURE_NAMES + tuple(LARGER_COMPLEXES))
+def test_tops_containing_reads_the_tiles(name):
+    D = dual_of(name) if name in FIXTURE_NAMES else build_dual(LARGER_COMPLEXES[name]())
+    holders = {}
+    for t in D.source.top_cells():
+        for c in reference.dual_tile(D, t):
+            holders.setdefault(c, set()).add(t)
+    for cid, cube in D.complex.cells.items():
+        assert set(tops_containing(D, cube.corners)) == holders.get(cid, set()), (name, cid)
 
 
 def test_tops_containing():

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 import reference
 from cubemill import folding
-from cubemill.complexes import CubicalComplex
+from cubemill.complexes import Cube, CubicalComplex
 from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
+    FoldingObstruction,
     assert_folding,
     find_folding,
     framings,
@@ -73,6 +74,25 @@ def test_verify_folding_matches_string_bits_on_every_edge_labelling_of_a_cube():
     # valid foldings, and squares collapsed in several positions
     assert None in witnesses and len(witnesses) > 2
     assert witnesses - {None} <= set(X.by_dim[2])
+
+
+def test_a_square_whose_corners_leave_its_edges_is_not_a_face():
+    # No table that from_maximal_cells or from_named_cells builds reaches this
+    # verdict: there each facet's corners are a face of its cube's, so once
+    # every edge flips one coordinate and corner labels are distinct, every
+    # cube's corners form a face. The table is built directly instead: the
+    # closed 3-cube with the corners of its square 20 moved to 0, 1, 2, 4,
+    # while its facets stay the edges of the face 0, 1, 2, 3.
+    X = CubicalComplex.from_maximal_cells([list(range(8))])
+    labels = {v: tuple(v >> i & 1 for i in range(3)) for v in X.vertices}
+    assert verify_folding(X, labels) is None
+    moved = CubicalComplex(
+        [Cube(c.cid, (0, 1, 2, 4), c.facets) if c.cid == 20 else c for c in X.cells.values()]
+    )
+    ob = verify_folding(moved, labels)
+    assert ob == FoldingObstruction(
+        "cube", 20, "corner labels do not form a 2-face of the target cube"
+    )
 
 
 def test_missing_label_raises():
@@ -141,6 +161,18 @@ def test_tube_never_foldable():
     for length in (1, 2, 3, 4):
         with pytest.raises(NotFoldable):
             find_folding(tube(length))
+
+
+def test_a_band_whose_rungs_meet_a_side_is_not_foldable():
+    # the fourth square's rung 6-7 lies opposite the side 0-2 of the first
+    # square, so one parallelism class holds both directions of that square
+    X = CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 0, 2)])
+    with pytest.raises(NotFoldable) as caught:
+        find_folding(X)
+    ob = caught.value.args[1]
+    assert ob == FoldingObstruction("cube", 20, "parallel directions collide")
+    root_of = {e: r for r, es in parallelism_classes(X).items() for e in es}
+    assert len({root_of[e] for e in X.edges_at_corner(20, 0)}) == 1
 
 
 def test_strip_foldable():

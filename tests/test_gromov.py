@@ -152,10 +152,10 @@ def test_gdelta2_fixture_matches_direct_construction():
 def test_provenance_distinguishes_interior_and_strata():
     K, colors = two_triangles()
     r = gromov_hyperbolize(K, colors)
-    kinds = {kind for kind, _face in r.provenance.values()}
-    assert kinds == {"interior", "stratum"}
-    for cid, (kind, face) in r.provenance.items():
-        assert face in r.source.faces or kind == "interior"
+    names = r.complex.names.values()
+    assert {nm[0] for nm in names} == {"i", "f"}
+    for kind, face, _cell in names:
+        assert kind == "i" or face in r.source.faces
 
 
 def test_a_failed_model_guard_is_an_internal_error():

@@ -21,6 +21,7 @@ from cubemill.dual import build_dual, tops_containing
 from cubemill.folding import find_folding, mirror_separates
 from cubemill.formats import parse_certificate, serialize_certificate
 from cubemill.surgery import (
+    BacktrackRemoval,
     MoveChain,
     Rotate,
     Split,
@@ -379,7 +380,7 @@ def test_minimal_bridge_matches_the_reference():
                         minimal_bridge(ctx, q)
                 else:
                     br = minimal_bridge(ctx, q)
-                    got = (br.start, br.length, br.path, br.support_index)
+                    got = (br.start, len(br.path) - 1, br.path, br.support_index)
                     assert got == want, (name, q)
                 cases += 1
     assert cases >= 2000
@@ -446,7 +447,7 @@ def _check_bridge_against_reference(ctx, q):
             minimal_bridge(ctx, q)
         return 0
     br = minimal_bridge(ctx, q)
-    assert (br.start, br.length, br.path, br.support_index) == want, q
+    assert (br.start, len(br.path) - 1, br.path, br.support_index) == want, q
     _check_projections(ctx, br.path)
     return 1
 
@@ -613,6 +614,52 @@ def test_forged_certificates_rejected():
     assert not verify_certificate(D, p, bad) or s.rotate == (s.rotate + 1) % (
         len(p) - 1
     )
+
+
+# On grid2's dual, square 65 has corners 0, 9, 10, 21 at heights 0, 1, 1, 2
+# and edge 25 joins 0 and 9. The loop around the square contracts by sliding
+# its top corner down and dropping two backtracks; a split that cuts off the
+# backtrack 0, 9, 0 hands the same loop on to its right child.
+SQUARE_LOOP = (0, 9, 21, 10, 0)
+SQUARE_CHAIN = MoveChain((SquareSlide(2, 0, 65), BacktrackRemoval(0), BacktrackRemoval(0)))
+BACKTRACK = MoveChain((BacktrackRemoval(0),))
+SQUARE_SPLIT = Split(0, 0, 0, (0, 9), (0, 9), BACKTRACK, SQUARE_CHAIN)
+
+
+def _square_chain_from(slide):
+    """The square loop's chain with its first slide replaced."""
+    return MoveChain((slide,) + SQUARE_CHAIN.moves[1:])
+
+
+# Each certificate breaks one rule of replay, so a replay that skipped that
+# rule would accept it or fail on it. Three break a second rule as well: a
+# slide on an edge repeats a vertex, a slide with a repeated vertex cannot
+# match a square's four corners, and a constant loop has no rotation in range.
+FORGED = {
+    "slide-index-out-of-range": (SQUARE_LOOP, _square_chain_from(SquareSlide(-3, 0, 65))),
+    "slide-unknown-cell": (SQUARE_LOOP, _square_chain_from(SquareSlide(2, 0, 10**6))),
+    "slide-on-an-edge": ((0, 9, 0), MoveChain((SquareSlide(1, 0, 25), BacktrackRemoval(0)))),
+    "slide-wrong-corners": (SQUARE_LOOP, _square_chain_from(SquareSlide(2, 0, 66))),
+    "slide-repeated-vertex": ((0, 9, 0), MoveChain((SquareSlide(1, 21, 65), BacktrackRemoval(0)))),
+    "not-an-edge-path": ((0, 21, 0), BACKTRACK),
+    "open-path": (SQUARE_LOOP[:-1], SQUARE_SPLIT),
+    "split-of-a-constant-loop": ((0,), SQUARE_SPLIT),
+    "split-rotation-out-of-range": (SQUARE_LOOP, replace(SQUARE_SPLIT, rotate=4)),
+    "unknown-node": ((0, 9, 0), BACKTRACK.moves),
+    "unknown-move": ((0, 9, 0), MoveChain(("backtrack", BacktrackRemoval(0)))),
+}
+
+
+def test_hand_made_square_certificates_verify():
+    D = dual_of("grid2")
+    assert verify_certificate(D, SQUARE_LOOP, SQUARE_CHAIN)
+    assert verify_certificate(D, SQUARE_LOOP, SQUARE_SPLIT)
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_replay_rejects_each_forgery(case):
+    p, cert = FORGED[case]
+    assert not verify_certificate(dual_of("grid2"), p, cert)
 
 
 def test_deep_certificates_parse_and_replay():
