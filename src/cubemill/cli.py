@@ -2,9 +2,10 @@
 
 Every subcommand prints one canonical JSON report to stdout; ``--out`` writes
 the subcommand's artifact (a complex, folding, or certificate file) next to
-it. Reports are byte-deterministic: payloads are dumped with sorted keys and
-all listings use canonical order. Exit codes: 0 clean, 1 property failure or
-honest refusal, 2 usage or parse error.
+it, and the artifact is serialized only then. Reports are byte-deterministic:
+payloads are dumped with sorted keys and all listings use canonical order.
+Exit codes: 0 clean, 1 property failure or honest refusal, 2 usage or parse
+error.
 """
 
 import random
@@ -45,8 +46,10 @@ USAGE_ERRORS = (FormatError, CellNotFound, UnlabeledVertex)
 
 
 def _emit(payload, code=0, out=None, artifact=None):
+    """Print the report and exit with ``code``; with ``out``, first write the
+    text that ``artifact``, a function of no arguments, serializes."""
     if out is not None and artifact is not None:
-        Path(out).write_text(artifact)
+        Path(out).write_text(artifact())
     click.echo(formats.dumps_json(payload), nl=False)
     sys.exit(code)
 
@@ -165,12 +168,11 @@ def barsub_cmd(fixture_name, in_path, out):
     """Barycentric subdivision; the artifact is a simplicial complex file."""
     X, _labels = _load_complex(fixture_name, in_path, simplicial_ok=True)
     B = barsub(X)
-    artifact = formats.serialize_complex(B)
     payload = {
         "counts": _counts(B),
         "dim": B.dim,
     }
-    _emit(payload, out=out, artifact=artifact)
+    _emit(payload, out=out, artifact=lambda: formats.serialize_complex(B))
 
 
 @main.command()
@@ -183,13 +185,12 @@ def fold(fixture_name, in_path, folding_path, out):
     """Find a folding, or verify one supplied with --folding."""
     X, own = _load_complex(fixture_name, in_path)
     labels, source = _resolve_labels(X, own, folding_path)
-    artifact = formats.serialize_folding(labels)
     payload = {
         "ok": True,
         "source": source,
         "labels": formats.folding_rows(labels),
     }
-    _emit(payload, out=out, artifact=artifact)
+    _emit(payload, out=out, artifact=lambda: formats.serialize_folding(labels))
 
 
 @main.command()
@@ -219,7 +220,7 @@ def gromov(in_path, folding_path, do_verify, out):
         report = verify_gromov_properties(r)
         payload["checks"] = report.to_payload()["checks"]
         code = 0 if report.ok else 1
-    _emit(payload, code=code, out=out, artifact=formats.serialize_complex(r.complex))
+    _emit(payload, code=code, out=out, artifact=lambda: formats.serialize_complex(r.complex))
 
 
 @main.command()
@@ -332,7 +333,7 @@ def dual(fixture_name, in_path, out):
         payload,
         code=0 if report.ok else 1,
         out=out,
-        artifact=formats.serialize_complex(D.complex),
+        artifact=lambda: formats.serialize_complex(D.complex),
     )
 
 
@@ -392,7 +393,7 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
         payload["verified"] = verify_certificate(D, p, cert)
         if not payload["verified"]:
             _emit(payload, code=1)
-    _emit(payload, out=out, artifact=formats.serialize_certificate(cert))
+    _emit(payload, out=out, artifact=lambda: formats.serialize_certificate(cert))
 
 
 @main.command()
@@ -447,7 +448,7 @@ def fixture_cmd(name, out):
     f = _fixture(name)
     payload = describe(f)
     payload["labels"] = formats.folding_rows(f.labels)
-    _emit(payload, out=out, artifact=formats.serialize_complex(f.complex))
+    _emit(payload, out=out, artifact=lambda: formats.serialize_complex(f.complex))
 
 
 if __name__ == "__main__":

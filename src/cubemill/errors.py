@@ -42,7 +42,8 @@ class NonSeparatingMirror(Unsupported):
 
 
 class NotInTile(CubemillError):
-    """The path does not stay inside a single dual tile."""
+    """The path does not stay inside a single dual tile, or a bridge leaves
+    every tile that meets its mirror."""
 
 
 class NotABridge(CubemillError):

@@ -12,9 +12,10 @@ The mirror-side data surgery reads is built once per dual complex and
 folding by ``surgery_context`` and kept on the dual complex, so after that
 first call the cost of contracting a loop follows the loop. It is the
 mirrors of the folding, for each mirror that separates the side labels of
-its flank vertices (None for the others), and an index from each dual vertex
-to the mirrors whose region holds it; a mirror's region is its own cell
-set. A loop crosses, and a path bridges, only mirrors it touches, so the
+its flank vertices (None for the others), an index from each dual vertex
+to the mirrors whose region holds it, and a table of projected images that
+bridges fill as they first visit each vertex; a mirror's region is its own
+cell set. A loop crosses, and a path bridges, only mirrors it touches, so the
 crossing scan, the bridge search and the projection read only the mirrors
 the index names for the vertices at hand. A kept context is found by
 comparing the caller's labels with its stored copy.
@@ -52,6 +53,9 @@ class SurgeryContext:
     Per-mirror tuples are indexed by ``Mirror.index``. ``holding`` is the
     index built with them: each dual vertex that lies in a mirror region maps
     to the ascending indices of the mirrors whose region holds it.
+    ``images`` starts empty and is filled by ``project_bridge``: for each
+    mirror index, the image of every dual vertex a bridge has carried to
+    that mirror's region so far.
     """
 
     D: object  # the DualComplex
@@ -60,6 +64,7 @@ class SurgeryContext:
     sides: tuple  # per mirror, its flank side labels if it separates its framings, else None
     refusal: object  # the first mirror that does not separate, or None
     holding: dict  # dual vertex -> ascending indices of the mirrors holding it
+    images: dict  # mirror index -> {dual vertex -> its projected face}
 
 
 def surgery_context(D, labels):
@@ -81,7 +86,7 @@ def surgery_context(D, labels):
         for M in ml:
             for c in M.cells:
                 holding.setdefault(c, []).append(M.index)
-        ctx = SurgeryContext(D, dict(labels), ml, sides, refusal, holding)
+        ctx = SurgeryContext(D, dict(labels), ml, sides, refusal, holding, {})
         D._surgery.append(ctx)
     return ctx
 
@@ -494,15 +499,49 @@ def _axes(cube, labels):
     return axis_of
 
 
+def _image(ctx, M, v):
+    """The face of the least tile that meets ``M`` and carries ``v``, pinned
+    at ``M`` and at every other mirror that holds ``v`` and meets ``M``."""
+    D = ctx.D
+    region = M.cells
+    carriers = [t for t in tops_containing(D, {v}) if D.source.subcells(t) & region]
+    if not carriers:
+        raise NotInTile(f"no tile meeting mirror {M.index} carries the visited cell {v}")
+    tau = min(carriers)
+    axis_of = _axes(D.source.cells[tau], ctx.labels)
+
+    def pin(N, constraints):
+        if N.coordinate not in axis_of:
+            raise CarrierViolation("the carrier does not flip a pinned coordinate")
+        j, bit0 = axis_of[N.coordinate]
+        side = bit0 ^ N.side
+        if constraints.setdefault(j, side) != side:
+            raise InternalError("inconsistent projection constraints")
+
+    constraints = {}
+    pin(M, constraints)
+    for i in ctx.holding.get(v, ()):
+        N = ctx.mirrors[i]
+        if i != M.index and not N.cells.isdisjoint(region):
+            pin(N, constraints)
+    return D.source.face_of(tau, constraints)
+
+
 def project_bridge(ctx, q, M):
     """Project a minimal bridge onto the region of its supporting mirror.
 
-    Every cell a minimal bridge visits lies in some tile that meets the
-    mirror; the cell's image is the face of the least such tile pinned at the
-    mirror coordinate and at the coordinate of every other mirror that
-    contains the cell and meets the mirror. The image does not depend on the
-    tile chosen, consecutive images are equal or adjacent, and the endpoints
-    are fixed. Repeats and backtracks are stripped from the image.
+    Every cell a minimal bridge visits on a simply connected complex lies in
+    some tile that meets the mirror; the cell's image is the face of the
+    least such tile pinned at the mirror coordinate and at the coordinate of
+    every other mirror that contains the cell and meets the mirror. The image
+    does not depend on the tile chosen, consecutive images are equal or
+    adjacent, and the endpoints are fixed. Repeats and backtracks are
+    stripped from the image. A bridge that leaves every tile meeting the
+    mirror, as one around a hole does, is refused with ``NotInTile``.
+
+    The image of a cell depends only on the context, the mirror and the
+    cell, so it is computed once and kept in ``ctx.images``; a mirror that is
+    not the context's own of its index neither reads nor fills that table.
     """
     D = ctx.D
     q = check_edge_path(D, q)
@@ -512,35 +551,14 @@ def project_bridge(ctx, q, M):
     if all(v in region for v in q):
         raise NotABridge("the path lies inside the mirror region")
 
+    own = 0 <= M.index < len(ctx.mirrors) and ctx.mirrors[M.index] is M
+    table = ctx.images.setdefault(M.index, {}) if own else {}
     image = []
     for v in q:
-        carriers = [
-            t for t in tops_containing(D, {v}) if D.source.subcells(t) & M.cells
-        ]
-        if not carriers:
-            raise CarrierViolation(
-                f"no tile meeting the mirror carries the visited cell {v}"
-            )
-        tau = min(carriers)
-        axis_of = _axes(D.source.cells[tau], ctx.labels)
-
-        def pin(N, constraints):
-            if N.coordinate not in axis_of:
-                raise CarrierViolation(
-                    "the carrier does not flip a pinned coordinate"
-                )
-            j, bit0 = axis_of[N.coordinate]
-            side = bit0 ^ N.side
-            if constraints.setdefault(j, side) != side:
-                raise InternalError("inconsistent projection constraints")
-
-        constraints = {}
-        pin(M, constraints)
-        for i in ctx.holding.get(v, ()):
-            N = ctx.mirrors[i]
-            if i != M.index and not N.cells.isdisjoint(region):
-                pin(N, constraints)
-        image.append(D.source.face_of(tau, constraints))
+        face = table.get(v)
+        if face is None:
+            face = table[v] = _image(ctx, M, v)
+        image.append(face)
 
     for a, b in zip(image, image[1:]):
         if a != b and not D.adjacent(a, b):

@@ -1,5 +1,6 @@
 """Cached per-fixture builders, extra shapes and test-only checks shared across test modules."""
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,6 +105,32 @@ def grid_squares(n):
         for x in range(n)
         for y in range(n)
     ]
+
+
+def annulus(n=5):
+    """The n by n grid of squares without its centre square, for odd n: a
+    foldable complex whose fundamental group is the integers."""
+    c = n // 2
+    squares = grid_squares(n)
+    return CubicalComplex.from_maximal_cells(squares[: c * n + c] + squares[c * n + c + 1 :])
+
+
+def winding_number(X, p, n=5):
+    """How often the dual loop ``p`` of ``annulus(n)`` winds around the centre
+    of the missing square. Each dual vertex sits at the barycentre of its
+    source cell, and grid vertex v at (v mod (n + 1), v div (n + 1)); a dual
+    edge stays in the closure of one cell, so no step passes the centre."""
+    c = n / 2
+    angles = []
+    for v in p:
+        corners = X.cells[v].corners
+        x = sum(u % (n + 1) for u in corners) / len(corners)
+        y = sum(u // (n + 1) for u in corners) / len(corners)
+        angles.append(math.atan2(y - c, x - c))
+    turn = 0.0
+    for a, b in zip(angles, angles[1:]):
+        turn += (b - a + math.pi) % (2 * math.pi) - math.pi
+    return round(turn / (2 * math.pi))
 
 
 def cube_grid_cells(k):

@@ -43,7 +43,14 @@ from cubemill.complexes import (
 )
 from cubemill.curvature import NpcReport, NpcViolation, PathologyReport
 from cubemill.dual import _verdict, tops_containing
-from cubemill.errors import CarrierViolation, CellNotFound, FormatError, InternalError, NotABridge
+from cubemill.errors import (
+    CarrierViolation,
+    CellNotFound,
+    FormatError,
+    InternalError,
+    NotABridge,
+    NotInTile,
+)
 from cubemill.folding import _DSU, FoldingObstruction, Mirror, _label_of, parallelism_classes
 from cubemill.surgery import (
     BacktrackRemoval,
@@ -754,7 +761,7 @@ def project_bridge(ctx, q, M):
     for v in q:
         carriers = [t for t in tops_containing(D, {v}) if D.source.subcells(t) & M.cells]
         if not carriers:
-            raise CarrierViolation(f"no tile meeting the mirror carries the visited cell {v}")
+            raise NotInTile(f"no tile meeting mirror {M.index} carries the visited cell {v}")
         tau = min(carriers)
         axis_of = _axes(D.source.cells[tau], ctx.labels)
         constraints = {}

@@ -19,7 +19,7 @@ from cubemill.dual import build_dual
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.formats import MAX_CELL_DIM, parse_complex
 from cubemill.surgery import random_loop
-from helpers import deep_certificate_text, dual_of, reading
+from helpers import annulus, deep_certificate_text, dual_of, reading
 
 runner = CliRunner()
 
@@ -256,6 +256,18 @@ def test_a_failed_surgery_guard_is_a_report_with_exit_1(monkeypatch):
     doc = payload(r)
     assert doc["error"] == "InternalError"
     assert "failed to shrink" in doc["detail"]
+
+
+def test_a_bridge_around_the_annulus_hole_is_refused_outside_a_tile(tmp_path):
+    path = tmp_path / "annulus.json"
+    path.write_text(formats.serialize_complex(annulus()))
+    loop = "104,64,108,65,21,73,20,71,107,63,14,52,8,51,9,53,104"
+    r = run("contract", "--in", str(path), "--loop", loop)
+    assert r.exit_code == 1
+    assert payload(r) == {
+        "error": "NotInTile",
+        "detail": "no tile meeting mirror 7 carries the visited cell 73",
+    }
 
 
 def test_a_9001_vertex_loop_contracts_and_verifies(tmp_path):
@@ -551,6 +563,35 @@ def test_dual_artifact_round_trips(tmp_path):
     assert all(c["status"] == "pass" for c in doc["checks"])
     D = parse_complex(out.read_text())
     assert len(D.by_dim[0]) == 25
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("barsub", "--fixture", "sq1"),
+        ("fold", "--fixture", "grid2"),
+        ("gromov", "--in", "triangle.json"),
+        ("dual", "--fixture", "grid2"),
+        ("contract", "--fixture", "grid2", "--loop", "19,7,20,24,17,7,19"),
+        ("fixture", "grid2"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_an_artifact_is_serialized_only_for_out(tmp_path, monkeypatch, args):
+    (tmp_path / "triangle.json").write_text('{"kind": "simplicial", "maximal": [[0, 1, 2]]}')
+    monkeypatch.chdir(tmp_path)
+    report = run(*args).output
+
+    def refuse(_x):
+        raise RuntimeError("serialized without --out")
+
+    for name in ("serialize_complex", "serialize_folding", "serialize_certificate"):
+        monkeypatch.setattr(formats, name, refuse)
+    r = run(*args)
+    assert r.exit_code == 0
+    assert r.output == report
+    with pytest.raises(RuntimeError, match="without --out"):
+        run(*args, "--out", "artifact.txt")
 
 
 def test_barsub_artifact_parses_with_matching_counts(tmp_path):

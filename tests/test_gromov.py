@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import random
 
 import pytest
 
 import reference
-from cubemill.complexes import CubicalComplex, SimplicialComplex, barsub
+from cubemill.complexes import Cube, CubicalComplex, SimplicialComplex, barsub
 from cubemill.curvature import check_npc
 from cubemill.errors import InternalError, NotFoldable, UnsupportedDimension
 from cubemill.fixtures import fixture
@@ -165,6 +166,76 @@ def test_a_failed_model_guard_is_an_internal_error():
     cells = {a: ((a,), ()), b: ((b,), ())}
     with pytest.raises(InternalError, match="label swap leaves the complex"):
         _extract_half(cells)
+
+
+# ---------------------------------------------------------------------------
+# tiles
+
+
+def _triangle_result():
+    return gromov_hyperbolize(SimplicialComplex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2})
+
+
+def _with_cells(r, change):
+    """``r`` on a shallow copy of its complex whose names and cells ``change``
+    edits in place."""
+    X = copy.copy(r.complex)
+    X.names, X.cells = dict(X.names), dict(X.cells)
+    change(X)
+    return dataclasses.replace(r, complex=X)
+
+
+def _interior(X, dim):
+    return sorted(c for c, nm in X.names.items() if nm[0] == "i" and X.cells[c].dim == dim)
+
+
+def _swap_names(dim):
+    def change(X):
+        a, b = _interior(X, dim)[:2]
+        X.names[a], X.names[b] = X.names[b], X.names[a]
+
+    return change
+
+
+def _drop_a_cell(r):
+    ((s, cids),) = r.tiles.items()
+    return dataclasses.replace(r, tiles={s: cids[1:]})
+
+
+def _move_an_edge(part):
+    """Give the least interior edge another end in its corners or in its
+    facets, keeping the other list."""
+
+    def change(X):
+        e = X.cells[_interior(X, 1)[0]]
+        v = next(c for c in X.by_dim[0] if c not in e.facets)
+        if part == "corners":
+            X.cells[e.cid] = Cube(e.cid, (e.corners[0], X.cells[v].corners[0]), e.facets)
+        else:
+            X.cells[e.cid] = Cube(e.cid, e.corners, (e.facets[0], v))
+
+    return change
+
+
+# the cell-set comparison rejects the dropped cell, the facets comparison the
+# swapped names and the moved facet, and the corners comparison the moved corner
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _drop_a_cell,
+        lambda r: _with_cells(r, _swap_names(2)),
+        lambda r: _with_cells(r, _swap_names(0)),
+        lambda r: _with_cells(r, _move_an_edge("facets")),
+        lambda r: _with_cells(r, _move_an_edge("corners")),
+    ],
+    ids=["drop-cell", "swap-squares", "swap-vertices", "move-facet", "move-corner"],
+)
+def test_a_tampered_tile_differs_from_the_model(tamper):
+    r = _triangle_result()
+    checks = {name: (status, d) for name, status, d in verify_gromov_properties(r).checks}
+    assert checks["tiles-isomorphic"] == ("pass", "")
+    checks = {name: (status, d) for name, status, d in verify_gromov_properties(tamper(r)).checks}
+    assert checks["tiles-isomorphic"] == ("fail", "1 tiles differ from the model")
 
 
 # ---------------------------------------------------------------------------

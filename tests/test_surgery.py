@@ -10,6 +10,7 @@ import reference
 from cubemill import surgery
 from cubemill.complexes import CubicalComplex
 from cubemill.errors import (
+    InternalError,
     NoCrossing,
     NonSeparatingMirror,
     NotABridge,
@@ -45,12 +46,14 @@ from cubemill.surgery import (
 )
 from helpers import (
     LARGER_COMPLEXES,
+    annulus,
     deep_certificate_text,
     dual_of,
     fuzz_contractions,
     grid_squares,
     mirror_list,
     simply_connected_names,
+    winding_number,
 )
 
 
@@ -431,11 +434,14 @@ def _gap_paths(p, prof):
 
 def _check_projections(ctx, q):
     """Compare the projections of ``q`` onto every mirror holding both its
-    ends, or the errors they raise, with the all-mirror reference."""
+    ends, or the errors they raise, with the all-mirror reference: first on
+    an empty image table for the mirror, then on the table that call left."""
     for M in ctx.mirrors:
         if q[0] in M.cells and q[-1] in M.cells:
-            got = _outcome(project_bridge, ctx, q, M)
-            assert got == _outcome(reference.project_bridge, ctx, q, M), (q, M.index)
+            want = _outcome(reference.project_bridge, ctx, q, M)
+            ctx.images.pop(M.index, None)
+            assert _outcome(project_bridge, ctx, q, M) == want, (q, M.index, "cold")
+            assert _outcome(project_bridge, ctx, q, M) == want, (q, M.index, "warm")
 
 
 def _check_bridge_against_reference(ctx, q):
@@ -450,6 +456,64 @@ def _check_bridge_against_reference(ctx, q):
     assert (br.start, len(br.path) - 1, br.path, br.support_index) == want, q
     _check_projections(ctx, br.path)
     return 1
+
+
+def test_the_image_table_keeps_each_projected_cell_of_its_mirror():
+    f = fixture("grid2")
+    ctx = surgery_context(build_dual(f.complex), f.labels)
+    rng = random.Random(41)
+    for _ in range(10):
+        br = minimal_bridge(ctx, _crossing_loop("grid2", rng))
+        M = ctx.mirrors[br.support_index]
+        proj = project_bridge(ctx, br.path, M)
+        table = ctx.images[M.index]
+        assert set(br.path) <= set(table)
+        assert set(proj) <= {table[v] for v in br.path} <= M.cells
+        assert project_bridge(ctx, br.path, M) == proj
+
+
+def test_a_foreign_mirror_neither_reads_nor_fills_the_image_table():
+    f = fixture("grid2")
+    ctx = surgery_context(build_dual(f.complex), f.labels)
+    rng = random.Random(43)
+    br = minimal_bridge(ctx, _crossing_loop("grid2", rng, max_len=12))
+    while len(br.path) < 4:
+        br = minimal_bridge(ctx, _crossing_loop("grid2", rng, max_len=12))
+    M = ctx.mirrors[br.support_index]
+    # the same index and another cell set; the table of the index holds
+    # images that no projection gives, so a read would show
+    foreign = replace(M, cells=M.cells | {br.path[1]})
+    wrong = next(v for v in ctx.D.heights if v not in M.cells)
+    ctx.images[M.index] = poisoned = {v: wrong for v in br.path}
+    want = _outcome(reference.project_bridge, ctx, br.path, foreign)
+    assert _outcome(project_bridge, ctx, br.path, foreign) == want
+    assert ctx.images == {M.index: {v: wrong for v in br.path}}
+    assert ctx.images[M.index] is poisoned
+    # the context's own mirror reads the poisoned table and is caught by the
+    # checks that run after the image loop on every call
+    with pytest.raises(InternalError):
+        project_bridge(ctx, br.path, M)
+
+
+@pytest.mark.parametrize("name", [*simply_connected_names(), "grid6x6"])
+def test_a_warm_image_table_gives_the_certificates_of_a_cold_one(name):
+    if name in LARGER_COMPLEXES:
+        X = LARGER_COMPLEXES[name]()
+        labels = find_folding(X)
+    else:
+        X, labels = fixture(name).complex, fixture(name).labels
+    shared = build_dual(X)
+    rng = random.Random(f"warm table {name}")
+    splits = 0
+    for _ in range(150):
+        p = random_loop(shared, rng, max_len=16)
+        warm = contract_loop(shared, p, labels)
+        cold = contract_loop(build_dual(X), p, labels)
+        assert serialize_certificate(warm) == serialize_certificate(cold), p
+        splits += isinstance(warm, Split)
+    # sq1 and cube1 are one tile each: nothing splits and nothing is projected
+    assert any(surgery_context(shared, labels).images.values()) == (splits > 0)
+    assert (splits > 0) == (name not in ("sq1", "cube1"))
 
 
 def test_mirror_local_scans_match_the_full_scans():
@@ -726,6 +790,43 @@ def test_torus_meridian_is_refused_on_every_call():
             contract_loop(D, meridian, f.labels)
         # the refusal itself, not a NonSeparatingMirror from inside surgery
         assert type(refused.value) is Unsupported
+
+
+ANNULUS_LOOP = (104, 64, 108, 65, 21, 73, 20, 71, 107, 63, 14, 52, 8, 51, 9, 53, 104)
+
+
+def test_a_bridge_around_the_hole_is_refused_outside_a_tile():
+    X = annulus()
+    labels = find_folding(X)
+    D = build_dual(X)
+    assert winding_number(X, ANNULUS_LOOP) == 1
+    for _ in range(2):
+        with pytest.raises(NotInTile, match="^no tile meeting mirror 7 carries the visited cell 73$"):
+            contract_loop(D, ANNULUS_LOOP, labels)
+        # the refused cell gets no image, so every call refuses it afresh
+        assert 73 not in surgery_context(D, labels).images.get(7, {})
+
+
+def test_annulus_loops_contract_or_are_refused_outside_a_tile():
+    X = annulus()
+    labels = find_folding(X)
+    D = build_dual(X)
+    rng = random.Random(0)
+    refused = {}
+    for _ in range(2000):
+        p = random_loop(D, rng, max_len=40)
+        w = winding_number(X, p)
+        try:
+            cert = contract_loop(D, p, labels)
+        except NotInTile as e:
+            # a refusal, never an InternalError or a CarrierViolation
+            key = "bridge" if str(e).startswith("no tile meeting mirror") else "leaf"
+            refused.setdefault(key, set()).add(w)
+            continue
+        assert verify_certificate(D, p, cert), p
+        assert w == 0, p
+    # loops winding either way round the hole are refused at a projection
+    assert refused["bridge"] >= {-1, 1}
 
 
 # SHA-256 of the 300 certificate texts in order; a change means the
