@@ -6,9 +6,12 @@ it, and the artifact is serialized only then. Reports are byte-deterministic:
 payloads are dumped with sorted keys and all listings use canonical order.
 Exit codes: 0 clean, 1 property failure or honest refusal, 2 usage or parse
 error.
+
+Each subcommand imports the library modules it uses when it runs, so a
+process loads only those: ``validate --in`` reads ``complexes``, ``formats``
+and ``errors``, and ``--fixture`` adds ``fixtures``.
 """
 
-import random
 import sys
 from functools import wraps
 from pathlib import Path
@@ -16,31 +19,8 @@ from pathlib import Path
 import click
 
 from . import formats
-from .complexes import SimplicialComplex, barsub, link_masks, verify_cw
-from .curvature import check_npc, check_special, flag_failure, hyperplane_coordinate, hyperplanes
-from .decomposition import build_all_trees
-from .dual import build_dual, verify_dual_axioms
-from .errors import (
-    CellNotFound,
-    CubemillError,
-    FormatError,
-    NotAdmissible,
-    UnlabeledVertex,
-)
-from .fixtures import FIXTURE_NAMES, fixture
-from .folding import assert_folding, find_folding, mirror_separates, mirrors
-from .gromov import gromov_hyperbolize, verify_gromov_properties
-from .surgery import (
-    Split,
-    check_edge_path,
-    contract_loop,
-    crossings,
-    is_loop,
-    random_loop,
-    surgery_context,
-    touched_mirrors,
-    verify_certificate,
-)
+from .complexes import SimplicialComplex
+from .errors import CellNotFound, CubemillError, FormatError, NotAdmissible, UnlabeledVertex
 
 USAGE_ERRORS = (FormatError, CellNotFound, UnlabeledVertex)
 
@@ -70,6 +50,8 @@ def _reporting(command):
 
 
 def _fixture(name):
+    from .fixtures import fixture
+
     try:
         return fixture(name)
     except KeyError as e:
@@ -105,6 +87,8 @@ def _load_complex(fixture_name, in_path, simplicial_ok=False):
 def _resolve_labels(X, own_labels, folding_path):
     """A verified folding for ``X``: an explicit file wins, then the labels
     shipped with the input, then a fresh search."""
+    from .folding import assert_folding, find_folding
+
     if folding_path is not None:
         labels = formats.parse_folding(_read_text(folding_path))
         assert_folding(X, labels)
@@ -148,6 +132,8 @@ def main():
 @_reporting
 def validate(fixture_name, in_path):
     """Check admissibility of a complex and report the findings."""
+    from .complexes import verify_cw
+
     try:
         X, _labels = _load_complex(fixture_name, in_path)
     except NotAdmissible as e:
@@ -166,6 +152,8 @@ def validate(fixture_name, in_path):
 @_reporting
 def barsub_cmd(fixture_name, in_path, out):
     """Barycentric subdivision; the artifact is a simplicial complex file."""
+    from .complexes import barsub
+
     X, _labels = _load_complex(fixture_name, in_path, simplicial_ok=True)
     B = barsub(X)
     payload = {
@@ -201,6 +189,8 @@ def fold(fixture_name, in_path, folding_path, out):
 @_reporting
 def gromov(in_path, folding_path, do_verify, out):
     """Hyperbolize a simplicial complex; the artifact is the result complex."""
+    from .gromov import gromov_hyperbolize, verify_gromov_properties
+
     if in_path is None:
         raise click.UsageError("gromov wants --in with a simplicial complex file")
     K = formats.parse_complex(_read_text(in_path))
@@ -229,6 +219,8 @@ def gromov(in_path, folding_path, do_verify, out):
 @_reporting
 def links(fixture_name, in_path):
     """Per-vertex link report: simplicial and flag verdicts."""
+    from .complexes import flag_failure, link_masks
+
     X, _labels = _load_complex(fixture_name, in_path)
     rows = []
     clean = True
@@ -258,6 +250,8 @@ def links(fixture_name, in_path):
 @_reporting
 def check_npc_cmd(fixture_name, in_path):
     """Link condition for nonpositive curvature."""
+    from .curvature import check_npc
+
     X, _labels = _load_complex(fixture_name, in_path)
     report = check_npc(X)
     _emit(report.to_payload(), code=0 if report.ok else 1)
@@ -270,6 +264,8 @@ def check_npc_cmd(fixture_name, in_path):
 @_reporting
 def hyperplanes_cmd(fixture_name, in_path, folding_path):
     """Edge classes under square opposition, with folding coordinates."""
+    from .curvature import hyperplane_coordinate, hyperplanes
+
     X, own = _load_complex(fixture_name, in_path)
     labels, _source = _resolve_labels(X, own, folding_path)
     rows = []
@@ -292,6 +288,8 @@ def hyperplanes_cmd(fixture_name, in_path, folding_path):
 @_reporting
 def special_check(fixture_name, in_path):
     """Hyperplane pathology scan: self-intersection and osculation."""
+    from .curvature import check_special
+
     X, _labels = _load_complex(fixture_name, in_path)
     report = check_special(X)
     _emit(report.to_payload(), code=0 if report.ok else 1)
@@ -304,6 +302,8 @@ def special_check(fixture_name, in_path):
 @_reporting
 def mirrors_cmd(fixture_name, in_path, folding_path):
     """Mirror listing with separation verdicts."""
+    from .folding import mirror_separates, mirrors
+
     X, own = _load_complex(fixture_name, in_path)
     labels, _source = _resolve_labels(X, own, folding_path)
     rows = []
@@ -324,6 +324,8 @@ def mirrors_cmd(fixture_name, in_path, folding_path):
 @_reporting
 def dual(fixture_name, in_path, out):
     """Dual complex with height axioms; the artifact is the dual complex."""
+    from .dual import build_dual, verify_dual_axioms
+
     X, _labels = _load_complex(fixture_name, in_path)
     D = build_dual(X)
     report = verify_dual_axioms(D)
@@ -352,11 +354,26 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
     Without --loop, runs a seeded suite of 100 random loops and reports the
     aggregate outcome.
     """
+    from .dual import build_dual
+    from .surgery import (
+        Split,
+        check_edge_path,
+        contract_loop,
+        crossings,
+        is_loop,
+        random_loop,
+        surgery_context,
+        touched_mirrors,
+        verify_certificate,
+    )
+
     X, own = _load_complex(fixture_name, in_path)
     labels, _source = _resolve_labels(X, own, folding_path)
     D = build_dual(X)
     loop = _parse_loop(loop_text)
     if loop is None:
+        import random
+
         rng = random.Random(seed)
         depth_max = 0
         for _ in range(100):
@@ -406,6 +423,9 @@ def contract(fixture_name, in_path, folding_path, loop_text, do_verify, seed, ou
 @_reporting
 def verify(fixture_name, in_path, loop_text, cert_path):
     """Replay a contraction certificate without trusting its producer."""
+    from .dual import build_dual
+    from .surgery import verify_certificate
+
     X, _labels = _load_complex(fixture_name, in_path)
     D = build_dual(X)
     loop = _parse_loop(loop_text)
@@ -421,6 +441,8 @@ def verify(fixture_name, in_path, loop_text, cert_path):
 @_reporting
 def tree(fixture_name, in_path, folding_path):
     """Mirror/chamber decomposition per folding coordinate, with verdicts."""
+    from .decomposition import build_all_trees
+
     X, own = _load_complex(fixture_name, in_path)
     labels, _source = _resolve_labels(X, own, folding_path)
     payload = {"trees": [t.to_payload() for t in build_all_trees(X, labels)]}
@@ -433,6 +455,7 @@ def tree(fixture_name, in_path, folding_path):
 @_reporting
 def fixture_cmd(name, out):
     """Describe a built-in fixture, or list them all."""
+    from .fixtures import FIXTURE_NAMES, fixture
 
     def describe(f):
         return {

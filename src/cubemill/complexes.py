@@ -612,7 +612,12 @@ def _verify_cw(X):
     for a, b in _pairs_sharing_two_corners(X.cells_at_vertex, corners):
         ca, cb = X.cells[a], X.cells[b]
         inter = set(ca.corners) & set(cb.corners)
-        common = X.subcells(a) & X.subcells(b)
+        sa, sb = X.subcells(a), X.subcells(b)
+        # a face of the other cell that holds every shared corner is their
+        # only maximal common face, and its corners are the intersection
+        if a in sb and len(inter) == len(ca.corners) or b in sa and len(inter) == len(cb.corners):
+            continue
+        common = sa & sb
         # common faces are closed under faces, so a face below another
         # is a facet of some common face
         maximal = common - {f for d in common for f in X.cells[d].facets}
@@ -682,6 +687,33 @@ def link_masks(X, v):
         level = below - faces
     doubled = sorted((mask_bits(m), cids) for m, cids in induced.items() if len(cids) > 1)
     return edges, faces, tuple(tuple(cids) for _bits, cids in doubled)
+
+
+def flag_failure(faces):
+    """None when every clique of the 1-skeleton of ``faces`` (bitmasks closed
+    under nonempty subsets) spans a face; else the least minimal non-face, as
+    its ascending bit positions. Faces grow level by level from the edges, each
+    by the AND of one mask of later neighbours per bit."""
+    later = {}  # by the single bit of each vertex
+    edges = [f for f in faces if f.bit_count() == 2]
+    for f in edges:
+        later[f & -f] = later.get(f & -f, 0) | f & (f - 1)
+    level = [(f, later[f & -f] & later.get(f & (f - 1), 0)) for f in edges]
+    while level:
+        grown, failures = [], []
+        for f, common in level:
+            rest = common
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if (f | w) in faces:
+                    grown.append((f | w, common & later.get(w, 0)))
+                else:
+                    failures.append(f | w)
+        if failures:
+            return min(map(mask_bits, failures))
+        level = grown
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,35 +11,8 @@ self-osculations and inter-osculations.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import link_masks, mask_bits
+from .complexes import flag_failure, link_masks
 from .folding import _label_of, parallelism_classes
-
-
-def flag_failure(faces):
-    """None when every clique of the 1-skeleton of ``faces`` (bitmasks closed
-    under nonempty subsets) spans a face; else the least minimal non-face, as
-    its ascending bit positions. Faces grow level by level from the edges, each
-    by the AND of one mask of later neighbours per bit."""
-    later = {}  # by the single bit of each vertex
-    edges = [f for f in faces if f.bit_count() == 2]
-    for f in edges:
-        later[f & -f] = later.get(f & -f, 0) | f & (f - 1)
-    level = [(f, later[f & -f] & later.get(f & (f - 1), 0)) for f in edges]
-    while level:
-        grown, failures = [], []
-        for f, common in level:
-            rest = common
-            while rest:
-                w = rest & -rest
-                rest ^= w
-                if (f | w) in faces:
-                    grown.append((f | w, common & later.get(w, 0)))
-                else:
-                    failures.append(f | w)
-        if failures:
-            return min(map(mask_bits, failures))
-        level = grown
-    return None
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,14 @@ elsewhere the whole link is read.
 
 from dataclasses import dataclass, field
 
-from .complexes import CheckReport, CubicalComplex, cubical_subdivision, link_masks, verify_cw
-from .curvature import flag_failure
+from .complexes import (
+    CheckReport,
+    CubicalComplex,
+    cubical_subdivision,
+    flag_failure,
+    link_masks,
+    verify_cw,
+)
 from .errors import NotAdmissible
 
 

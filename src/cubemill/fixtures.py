@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import CubicalComplex, SimplicialComplex, barsub
-from .folding import canonical_barsub_folding
-from .gromov import boundary_complex, gromov_hyperbolize
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,22 @@ def _torus4():
     return X, labels, False, "a flat 4 by 4 torus"
 
 
+# The hyperbolized fixtures import hyperbolization when they are built, so the
+# other fixtures do not load it.
+
+
 def _gdelta2():
+    from .gromov import gromov_hyperbolize
+
     K = SimplicialComplex([(0, 1, 2)])
     r = gromov_hyperbolize(K, {0: 0, 1: 1, 2: 2})
     return r.complex, r.folding, False, "the hyperbolized triangle"
 
 
 def _sphere():
+    from .folding import canonical_barsub_folding
+    from .gromov import boundary_complex, gromov_hyperbolize
+
     S = barsub(boundary_complex(3))
     r = gromov_hyperbolize(S, canonical_barsub_folding(S))
     return (

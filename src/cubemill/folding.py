@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex, mask_bits
-from .errors import InternalError, NotFoldable, UnlabeledVertex
+from .errors import InternalError, NotFoldable, UnlabeledVertex, Unsupported
+
+# Most back-ups the folding search makes in one connected component. The
+# search assigns each parallelism class one of n coordinates, so a component
+# whose every assignment fails only at the parity check (an odd triangle with
+# k pendant edges on one vertex) takes time exponential in k; past the cap it
+# is refused as Unsupported. The fixtures and the grids, tori, cube grids and
+# stars of the tests and the benchmark fold without one back-up.
+MAX_FOLDING_BACKUPS = 1 << 14
 
 # ---------------------------------------------------------------------------
 # verification
@@ -135,7 +143,8 @@ def find_folding(X):
     condition checked by BFS). The first success in search order is
     returned: least vertex of every component gets the all-zeros label.
 
-    Raises NotFoldable when the search is exhausted.
+    Raises NotFoldable when the search is exhausted, and Unsupported when a
+    component needs more than ``MAX_FOLDING_BACKUPS`` back-ups.
     """
     n = X.dim
     if n <= 0:
@@ -197,6 +206,7 @@ def find_folding(X):
         # roots[pos], and coord the next one to try at the first open class
         chosen = []
         coord = 0
+        backups = 0
         while True:
             pos = len(chosen)
             if pos == len(roots):
@@ -217,6 +227,12 @@ def find_folding(X):
             # back up: undo the last choice and try the coordinate after it
             if not chosen:
                 return None
+            backups += 1
+            if backups > MAX_FOLDING_BACKUPS:
+                raise Unsupported(
+                    f"the folding search backs up more than {MAX_FOLDING_BACKUPS} times"
+                    f" in the component of vertex {start}"
+                )
             coord = chosen.pop()
             r = roots[len(chosen)]
             for idx in watching[r]:

@@ -11,14 +11,16 @@ against the dual complex without trusting the producer.
 The mirror-side data surgery reads is built once per dual complex and
 folding by ``surgery_context`` and kept on the dual complex, so after that
 first call the cost of contracting a loop follows the loop. It is the
-mirrors of the folding, for each mirror that separates the side labels of
-its flank vertices (None for the others), an index from each dual vertex
-to the mirrors whose region holds it, and a table of projected images that
-bridges fill as they first visit each vertex; a mirror's region is its own
-cell set. A loop crosses, and a path bridges, only mirrors it touches, so the
-crossing scan, the bridge search and the projection read only the mirrors
-the index names for the vertices at hand. A kept context is found by
-comparing the caller's labels with its stored copy.
+mirrors of the folding, the first mirror that does not separate (separation
+is checked no further), for each mirror that separates the side labels of
+its flank vertices (None for the others; each built on its first read), an
+index from each dual vertex to the mirrors whose region holds it, and a
+table of projected images that bridges fill as they first visit each vertex;
+a mirror's region is its own cell set. A loop crosses, and a path bridges,
+only mirrors it touches, so the crossing scan, the bridge search and the
+projection read only the mirrors the index names for the vertices at hand.
+A kept context is found by comparing the caller's labels with its stored
+copy.
 
 Determinism: mirrors are scanned in their canonical order, gaps and bridges
 break ties toward the least start index and least length, slides raise all
@@ -50,9 +52,10 @@ from .folding import mirror_separates, mirrors
 class SurgeryContext:
     """Mirror-side data of surgery on one dual complex under one folding.
 
-    Per-mirror tuples are indexed by ``Mirror.index``. ``holding`` is the
-    index built with them: each dual vertex that lies in a mirror region maps
-    to the ascending indices of the mirrors whose region holds it.
+    Per-mirror sequences are indexed by ``Mirror.index``; ``sides`` builds
+    each entry on its first read. ``holding`` is the index built with them:
+    each dual vertex that lies in a mirror region maps to the ascending
+    indices of the mirrors whose region holds it.
     ``images`` starts empty and is filled by ``project_bridge``: for each
     mirror index, the image of every dual vertex a bridge has carried to
     that mirror's region so far.
@@ -61,10 +64,37 @@ class SurgeryContext:
     D: object  # the DualComplex
     labels: dict  # a copy of the folding, vertex -> label tuple
     mirrors: tuple  # the canonical mirror list of the folding
-    sides: tuple  # per mirror, its flank side labels if it separates its framings, else None
+    sides: object  # per mirror, its flank side labels if it separates its framings, else None
     refusal: object  # the first mirror that does not separate, or None
     holding: dict  # dual vertex -> ascending indices of the mirrors holding it
     images: dict  # mirror index -> {dual vertex -> its projected face}
+
+
+class _Sides:
+    """Per mirror index, the flank side labels of a mirror that separates its
+    framings, else None. An entry is built on its first read, from a
+    separation verdict the context already holds where it has one."""
+
+    def __init__(self, D, ml, separates):
+        self._D = D
+        self._mirrors = ml
+        self._separates = separates  # mirror index -> verdict, as far as known
+        self._built = {}
+
+    def __len__(self):
+        return len(self._mirrors)
+
+    def __getitem__(self, i):
+        try:
+            return self._built[i]
+        except KeyError:
+            pass
+        M = self._mirrors[i]  # an IndexError ends iteration
+        sep = self._separates.get(M.index)
+        if sep is None:
+            sep = self._separates[M.index] = mirror_separates(self._D.source, M).separates
+        self._built[i] = side = dual_mirror(self._D, M) if sep else None
+        return side
 
 
 def surgery_context(D, labels):
@@ -74,14 +104,22 @@ def surgery_context(D, labels):
     found by equality of the labels with each one's stored copy, so equal
     foldings share one, a different folding of the same complex gets its
     own, and a later change to the caller's dict does not reach a kept one.
+
+    Separation is checked in canonical mirror order and stops at the first
+    mirror that does not separate, the refusal; the sides of a mirror are
+    built when ``crossings`` first reads them.
     """
     ctx = next((c for c in D._surgery if c.labels == labels), None)
     if ctx is None:
         ml = tuple(mirrors(D.source, labels))
-        sides = tuple(
-            dual_mirror(D, M) if mirror_separates(D.source, M).separates else None for M in ml
-        )
-        refusal = next((M for M, side in zip(ml, sides) if side is None), None)
+        separates = {}
+        refusal = None
+        for M in ml:
+            separates[M.index] = mirror_separates(D.source, M).separates
+            if not separates[M.index]:
+                refusal = M
+                break
+        sides = _Sides(D, ml, separates)
         holding = {}
         for M in ml:
             for c in M.cells:

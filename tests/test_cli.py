@@ -1,5 +1,6 @@
 """End-to-end command line tests."""
 
+import importlib
 import json
 import os
 import random
@@ -311,6 +312,17 @@ def test_fold_refuses_an_odd_triangle_beside_30_squares(tmp_path):
     assert payload(r)["error"] == "NotFoldable"
 
 
+def test_fold_refuses_a_search_past_the_back_up_cap(tmp_path):
+    # a square, an odd triangle and 30 pendant edges at one vertex: one
+    # component whose exhaustive search would back up about 2^35 times
+    cells = [[0, 1, 2, 3], [0, 10], [10, 11], [0, 11]] + [[0, 100 + i] for i in range(30)]
+    path = tmp_path / "pendant.json"
+    path.write_text(json.dumps({"kind": "cubical", "maximal": cells}))
+    r = run("fold", "--in", str(path))
+    assert r.exit_code == 1
+    assert payload(r)["error"] == "Unsupported"
+
+
 def test_validate_reports_inadmissible_input(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text('{"kind": "cubical", "maximal": [[0, 1, 2, 3], [0, 4, 3, 5]]}')
@@ -451,8 +463,9 @@ def test_importing_cubemill_leaves_networkx_unloaded():
     assert out.strip() == "False"
 
 
-def _networkx_after(tmp_path, *args):
-    """Run one subcommand in a fresh interpreter; (exit code, networkx loaded).
+def _loaded_after(tmp_path, *args):
+    """Run one subcommand in a fresh interpreter; (exit code, the set of
+    networkx and cubemill submodules it loaded).
 
     ``triangle`` in ``args`` stands for a simplicial file of one triangle.
     """
@@ -465,14 +478,21 @@ def _networkx_after(tmp_path, *args):
         "try:\n"
         "    main(sys.argv[1:])\n"
         "except SystemExit as e:\n"
-        "    print(e.code, 'networkx' in sys.modules, file=sys.stderr)\n"
+        "    loaded = [m for m in sys.modules if m == 'networkx' or m.startswith('cubemill.')]\n"
+        "    print(e.code, *loaded, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cubemill.__file__).parents[1]))
     err = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     ).stderr
-    exit_code, loaded = err.split()[-2:]
-    return int(exit_code), loaded == "True"
+    exit_code, *loaded = err.splitlines()[-1].split()
+    return int(exit_code), set(loaded)
+
+
+def _networkx_after(tmp_path, *args):
+    """Run one subcommand in a fresh interpreter; (exit code, networkx loaded)."""
+    exit_code, loaded = _loaded_after(tmp_path, *args)
+    return exit_code, "networkx" in loaded
 
 
 @pytest.mark.parametrize(
@@ -501,6 +521,129 @@ def test_subcommands_leave_networkx_unloaded(tmp_path, args):
 def test_gromov_verify_leaves_networkx_unloaded(tmp_path):
     # the link check reads the source faces off the cell names
     assert _networkx_after(tmp_path, "gromov", "--in", "triangle", "--verify") == (0, False)
+
+
+def _grid_file(tmp_path):
+    path = tmp_path / "grid.json"
+    v = [[3 * y + x for x in range(3)] for y in range(3)]
+    cells = [[v[y][x], v[y][x + 1], v[y + 1][x], v[y + 1][x + 1]] for x in (0, 1) for y in (0, 1)]
+    path.write_text(json.dumps({"kind": "cubical", "maximal": cells}))
+    return str(path)
+
+
+def test_validate_loads_only_complexes_formats_and_errors(tmp_path):
+    exit_code, loaded = _loaded_after(tmp_path, "validate", "--in", _grid_file(tmp_path))
+    assert exit_code == 0
+    assert loaded == {"cubemill.cli", "cubemill.complexes", "cubemill.errors", "cubemill.formats"}
+
+
+def test_dual_loads_neither_surgery_nor_folding(tmp_path):
+    exit_code, loaded = _loaded_after(tmp_path, "dual", "--in", _grid_file(tmp_path))
+    assert exit_code == 0
+    assert "cubemill.dual" in loaded
+    for name in ("surgery", "gromov", "curvature", "folding"):
+        assert f"cubemill.{name}" not in loaded
+
+
+def test_contract_loads_surgery(tmp_path):
+    args = ("contract", "--in", _grid_file(tmp_path), "--loop", "19,7,20,24,17,7,19")
+    exit_code, loaded = _loaded_after(tmp_path, *args)
+    assert exit_code == 0
+    assert "cubemill.surgery" in loaded and "cubemill.gromov" not in loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, cubemill; print([m for m in sys.modules if m.startswith('cubemill.')])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cubemill.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
+
+
+# the package's exports, in the order they had when the package imported
+# every module to re-export it
+EXPORTS = [
+    "Cube",
+    "CubicalComplex",
+    "SimplicialComplex",
+    "ValidationReport",
+    "barsub",
+    "cubical_subdivision",
+    "validate_cubical",
+    "verify_cw",
+    "Hyperplane",
+    "check_npc",
+    "check_special",
+    "hyperplane_coordinate",
+    "hyperplanes",
+    "TreeOfSpaces",
+    "build_all_trees",
+    "build_tree",
+    "DualComplex",
+    "build_dual",
+    "dual_mirror",
+    "tops_containing",
+    "verify_dual_axioms",
+    "CarrierViolation",
+    "CellNotFound",
+    "CubemillError",
+    "FormatError",
+    "InternalError",
+    "NoCrossing",
+    "NonSeparatingMirror",
+    "NotABridge",
+    "NotAdmissible",
+    "NotFoldable",
+    "NotInTile",
+    "UnlabeledVertex",
+    "Unsupported",
+    "UnsupportedDimension",
+    "Mirror",
+    "assert_folding",
+    "find_folding",
+    "framings",
+    "mirror_separates",
+    "mirrors",
+    "parallelism_classes",
+    "verify_folding",
+    "verify_simplicial_folding",
+    "dumps_json",
+    "parse_certificate",
+    "parse_complex",
+    "parse_folding",
+    "serialize_certificate",
+    "serialize_complex",
+    "serialize_folding",
+    "gromov_hyperbolize",
+    "model",
+    "verify_gromov_properties",
+    "check_edge_path",
+    "contract_in_tile",
+    "contract_loop",
+    "crossings",
+    "make_efficient",
+    "minimal_bridge",
+    "project_bridge",
+    "random_loop",
+    "surgery_step",
+    "verify_certificate",
+    "__version__",
+]
+
+
+def test_package_exports_resolve_to_their_modules():
+    assert cubemill.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(cubemill))
+    for name in EXPORTS[:-1]:
+        value = getattr(cubemill, name)
+        module = importlib.import_module(f"cubemill.{cubemill._MODULE_OF[name]}")
+        assert value is getattr(module, name), name
+        # the module that defines it, where another module re-exports it
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert cubemill.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cubemill.no_such_name  # noqa: B018
 
 
 def test_gromov_with_a_coloring_yields_the_square_model(tmp_path):

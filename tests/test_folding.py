@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import networkx as nx
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 import reference
 from cubemill import folding
 from cubemill.complexes import Cube, CubicalComplex
-from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex
+from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex, Unsupported
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
     FoldingObstruction,
@@ -239,6 +240,46 @@ def test_components_are_searched_one_at_a_time():
     X = CubicalComplex.from_maximal_cells(_odd_triangle_beside_squares(30))
     with pytest.raises(NotFoldable, match="no coordinate assignment"):
         find_folding(X)
+
+
+def triangle_beside_a_square(k):
+    """One component: a square, the odd triangle 0-10-11 and k pendant edges
+    at vertex 0. Every assignment fails only at the parity check, so an
+    exhaustive search backs up about 2^(k + 5) times."""
+    return [(0, 1, 2, 3), (0, 10), (10, 11), (0, 11)] + [(0, 100 + i) for i in range(k)]
+
+
+def moebius_band(k):
+    """Three squares glued into a Moebius band, with k pendant edges at
+    vertex 0. Its 1-skeleton is bipartite, yet it does not fold."""
+    return [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 1, 0)] + [(0, 100 + i) for i in range(k)]
+
+
+@pytest.mark.parametrize("family", [triangle_beside_a_square, moebius_band])
+def test_a_search_past_the_back_up_cap_is_refused_within_a_second(family):
+    X = CubicalComplex.from_maximal_cells(family(30))
+    t0 = time.perf_counter()
+    with pytest.raises(Unsupported, match=f"more than {folding.MAX_FOLDING_BACKUPS} times"):
+        find_folding(X)
+    assert time.perf_counter() - t0 < 1.0
+    # below the cap the search is exhausted, as it was before the cap
+    with pytest.raises(NotFoldable):
+        find_folding(CubicalComplex.from_maximal_cells(family(8)))
+
+
+def test_the_cap_counts_back_ups(monkeypatch):
+    backs_up = CubicalComplex.from_maximal_cells([(0, 1, 2, 3), (0, 4), (4, 3)])
+    star = CubicalComplex.from_maximal_cells([(0, i) for i in range(1, 4001)])
+    want = {name: find_folding(fixture(name).complex) for name in FIXTURE_NAMES}
+    find_folding(backs_up)
+    monkeypatch.setattr(folding, "MAX_FOLDING_BACKUPS", 0)
+    with pytest.raises(Unsupported):
+        find_folding(backs_up)
+    # a star and every fixture fold without one back-up, so the cap leaves
+    # their labels as they were
+    assert find_folding(star) == {0: (0,), **{v: (1,) for v in range(1, 4001)}}
+    for name in FIXTURE_NAMES:
+        assert find_folding(fixture(name).complex) == want[name], name
 
 
 def test_a_returned_non_folding_is_an_internal_error(monkeypatch):

@@ -2,7 +2,9 @@
 
 Each case runs one subcommand in-process and compares its exit code, the
 SHA-256 of its stdout and the SHA-256 of its ``--out`` artifact with the
-record in ``tests/golden/cli.json``. Refactors must leave every digest
+record in ``tests/golden/cli.json``. The ``help`` cases digest ``--help`` of
+the group and of every subcommand, at a fixed terminal width of 80 columns, so
+the text does not depend on the terminal. Refactors must leave every digest
 unchanged. The file is written by running this module as a script,
 ``PYTHONPATH=src python tests/test_golden.py``, and only ever from code whose
 outputs are the reference.
@@ -45,6 +47,9 @@ def _cases():
         ]
         cases[f"fixture/{name}"] = [(["fixture", name], True)]
     cases["fixture/list"] = [(["fixture"], False)]
+    cases["help/main"] = [(["--help"], False)]
+    for sub in main.commands:
+        cases[f"help/{sub}"] = [([sub, "--help"], False)]
     triangle = ["gromov", "--in", "{d}/triangle.json"]
     cases["gromov/triangle-colored"] = [
         (triangle + ["--folding", "{d}/colors.json", "--verify"], True)
@@ -76,7 +81,7 @@ def run_case(case_id, workdir):
         argv = [arg.format(d=workdir) for arg in argv]
         if writes:
             argv += ["--out", str(out)]
-        result = runner.invoke(main, argv, catch_exceptions=False)
+        result = runner.invoke(main, argv, catch_exceptions=False, terminal_width=80)
         records.append(
             {
                 "exit": result.exit_code,

@@ -22,6 +22,7 @@ import reference
 from cubemill import complexes, formats
 from cubemill.cli import main
 from cubemill.complexes import (
+    Cube,
     CubicalComplex,
     array_dim,
     cubical_subdivision,
@@ -445,6 +446,57 @@ def test_twisted_facet_frames_are_a_relaxed_validation_finding():
     assert got == reference.verify_cw(X)
     with pytest.raises(NotAdmissible):
         build_dual(X)
+
+
+def _face_pairs(X):
+    """The scanned pairs in which one cell is a face of the other that holds
+    every corner they share: the pairs ``verify_cw`` passes over."""
+    skipped = 0
+    for a, b in complexes._pairs_sharing_two_corners(
+        X.cells_at_vertex, {cid: c.corners for cid, c in X.cells.items()}
+    ):
+        ca, cb = set(X.cells[a].corners), set(X.cells[b].corners)
+        skipped += a in X.subcells(b) and ca <= cb or b in X.subcells(a) and cb <= ca
+    return skipped
+
+
+def test_relaxed_validation_passing_over_face_pairs_matches_the_full_scan():
+    inputs = [case(name)[0] for name in CASES]
+    inputs += [_glued_by_corner_sets(doubled_square_lists()), _cube_with_twisted_facets()]
+    skipped = 0
+    for X in inputs:
+        # the scan itself, not a verdict kept on the complex
+        assert complexes._verify_cw(X) == reference.verify_cw(X)
+        skipped += _face_pairs(X)
+    assert skipped > 1000
+
+
+def test_a_face_whose_corners_leave_its_cell_is_still_reported():
+    # a solid cube whose bottom square trades a corner for a new vertex, built
+    # without the local structure check: the square is a facet of the cube
+    # that holds only three of the corners they share
+    X = fixture("cube1").complex
+    (cube,) = X.by_dim[3]
+    sq = X.cells[cube].facets[0]
+    v, zero = max(X.vertices) + 1, len(X.cells)
+    corners = (*X.cells[sq].corners[:3], v)
+    cells = [
+        Cube(c.cid, corners if c.cid == sq else c.corners, c.facets) for c in X.cells.values()
+    ]
+    Y = CubicalComplex([*cells, Cube(zero, (v,), ())], kind="cw")
+    assert sq in Y.subcells(cube)
+
+    def two_corner_intersections(report):
+        # the scan tests only pairs that share two corners
+        return [
+            f.cells
+            for f in report.findings
+            if f.kind == "NonFaceIntersection"
+            and len(set(Y.cells[f.cells[0]].corners) & set(Y.cells[f.cells[1]].corners)) >= 2
+        ]
+
+    got = two_corner_intersections(verify_cw(Y))
+    assert got == two_corner_intersections(reference.verify_cw(Y)) == [(sq, cube)]
 
 
 def test_cli_refuses_the_dual_of_twisted_facet_frames(tmp_path):

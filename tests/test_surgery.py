@@ -548,6 +548,56 @@ def test_mirror_local_scans_refuse_as_the_full_scans():
     assert refused > 0
 
 
+def _count_separation_checks(monkeypatch):
+    """The indices of the mirrors surgery checks for separation, in order."""
+    calls = []
+    check = surgery.mirror_separates
+    monkeypatch.setattr(
+        surgery, "mirror_separates", lambda X, M: calls.append(M.index) or check(X, M)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", ["torus4", "sphere"])
+def test_a_refused_context_stops_at_its_first_non_separating_mirror(monkeypatch, name):
+    # sphere is hyperbolized boundary of the 3-simplex: 94 mirrors, and only
+    # the last separates
+    calls = _count_separation_checks(monkeypatch)
+    f = fixture(name)
+    D = build_dual(f.complex)
+    ctx = surgery_context(D, f.labels)
+    assert ctx.refusal is ctx.mirrors[0]
+    assert calls == [0]
+    p = (D.complex.vertices[0],)
+    with pytest.raises(Unsupported, match="^mirror 0 does not separate$"):
+        contract_loop(D, p, f.labels)
+    with pytest.raises(NonSeparatingMirror, match="^mirror 0 does not separate$"):
+        _first_crossing(ctx, p)
+    assert calls == [0]
+
+
+def test_a_refused_context_reads_later_mirrors_on_first_use(monkeypatch):
+    # gdelta2 refuses at mirror 0 and its mirror 7 separates; reading the
+    # mirrors in a shuffled order gives what reading all of them first gives
+    f = fixture("gdelta2")
+    D = build_dual(f.complex)
+    ctx = surgery_context(D, f.labels)
+    eager = surgery_context(build_dual(f.complex), f.labels)
+    assert [s is None for s in eager.sides] == [True] * 7 + [False]
+    calls = _count_separation_checks(monkeypatch)
+    rng = random.Random("refused gdelta2")
+    order = list(ctx.mirrors)
+    rng.shuffle(order)
+    for _ in range(60):
+        p = random_loop(D, rng, max_len=2 + rng.randrange(15))
+        for M in order:
+            got = _outcome(crossings, ctx, p, M)
+            assert got == _outcome(crossings, eager, p, eager.mirrors[M.index]), (p, M.index)
+        assert _outcome(minimal_bridge, ctx, p) == _outcome(minimal_bridge, eager, p), p
+    # each mirror after the refusal was checked once, on its first read
+    assert sorted(calls) == list(range(1, 8))
+
+
 def test_contraction_reads_only_the_mirrors_a_loop_touches(monkeypatch):
     X = CubicalComplex.from_maximal_cells(grid_squares(24))
     labels = find_folding(X)
