@@ -203,9 +203,9 @@ def _pairs_sharing_two_corners(at_vertex, corners):
     one corner have its 0-cell as their only common face, so neither
     validator can fail them. Pairs come once each, ordered by their least
     shared corner and then by ``(a, b)``: at each vertex ``v`` the cells are
-    grouped by each of their corners above ``v``.
+    grouped by each of their corners above ``v``, and a pair is new at ``v``
+    exactly when ``v`` is its least shared corner.
     """
-    seen = set()
     for v in sorted(at_vertex):
         groups = {}
         for c in at_vertex[v]:
@@ -215,9 +215,14 @@ def _pairs_sharing_two_corners(at_vertex, corners):
         new = set()
         for group in groups.values():
             new.update(combinations(group, 2))
-        new -= seen
-        seen |= new
-        yield from sorted(new)
+        yield from sorted(
+            (a, b)
+            for a, b in new
+            # a cell with no corner below v shares none with the other
+            if min(corners[a]) == v
+            or min(corners[b]) == v
+            or min(set(corners[a]).intersection(corners[b])) == v
+        )
 
 
 def validate_cubical(corner_lists):
@@ -332,7 +337,19 @@ class CubicalComplex:
 
     @classmethod
     def from_maximal_cells(cls, corner_lists, check=True):
-        """Build the closure of the given maximal cells as a strict complex."""
+        """Build the closure of the given maximal cells as a strict complex.
+
+        With ``check`` the lists must pass :func:`validate_cubical`, and the
+        closure then passes :func:`verify_cw` with no finding, so that report
+        is recorded on it without a scan. Its facets are canonical faces of
+        their own cubes, so no frame is twisted. Faces f of A and g of B, two
+        listed cells, share only corners of the common face F of A and B; f
+        and g meet F in faces of F (one cube whether read in A or in B, as
+        validation checks), and two faces of one cube meet in one face of it.
+        So f and g meet in one common face whose corners are all they share,
+        and for the same reason two top cells share the corners of one common
+        face (``split_top_pairs`` is empty). ``check=False`` records nothing.
+        """
         lists = [tuple(c) for c in corner_lists]
         if check:
             report = validate_cubical(lists)
@@ -352,7 +369,11 @@ class CubicalComplex:
                     )
                     facets_of[a] = fs
                     todo += fs
-        return cls._from_facet_arrays(facets_of)
+        X = cls._from_facet_arrays(facets_of)
+        if check:
+            X._cw_report = ValidationReport(())
+            X._split_tops = ()
+        return X
 
     @classmethod
     def _from_facet_arrays(cls, facets_of):
@@ -465,6 +486,11 @@ class CubicalComplex:
         self._subcells = {}
         self._cw_report = None  # verify_cw's verdict, computed on first request
         self._top_adjacency = None  # built by top_adjacency on first request
+        self._split_tops = None  # built by split_top_pairs on first request
+        self._tops_above = None  # built by tops_above on first request
+        # folding.mirrors' lists, one entry per folding, with the separation
+        # reports of the (coordinate, side) classes checked so far
+        self._foldings = []
 
     # -- basic queries ----------------------------------------------------
 
@@ -511,6 +537,29 @@ class CubicalComplex:
                     adj[b].append((c, a))
             self._top_adjacency = adj
         return self._top_adjacency
+
+    def tops_above(self):
+        """Cell id -> the ascending ids of the top cells that have it as a
+        face, itself included; kept."""
+        if self._tops_above is None:
+            above = {c: [] for c in self.cells}
+            for t in self.top_cells():
+                for c in self.subcells(t):
+                    above[c].append(t)
+            self._tops_above = above
+        return self._tops_above
+
+    def split_top_pairs(self):
+        """The pairs ``(a, b)``, ``a < b``, of top cells that share two corners
+        but no common face that holds them all, ascending; kept.
+
+        Relaxed complexes have them (two squares on two opposite corners, or
+        on the ends of a doubled edge); strict ones have none. They are found
+        by the scan of :func:`verify_cw`, which runs here if it has not yet.
+        """
+        if self._split_tops is None:
+            self._cw_report = _verify_cw(self)
+        return self._split_tops
 
     def subcells(self, cid):
         """All faces of a cell, itself included, as a frozenset of cell ids."""
@@ -599,6 +648,9 @@ def verify_cw(X):
     are vertex-disjoint and their corners cover the corner-set intersection.
     Only pairs that share two corners are scanned. The complex is immutable,
     so the report is kept on it and a second call returns the first verdict.
+    A closure that :meth:`CubicalComplex.from_maximal_cells` built from
+    validated lists carries its empty report from the start (the proof is
+    there).
     """
     if X._cw_report is None:
         X._cw_report = _verify_cw(X)
@@ -609,6 +661,7 @@ def _verify_cw(X):
     twisted = "a facet takes its own frame, in which an edge is a diagonal of the cube"
     findings = [Finding("TwistedFacetFrame", (c,), twisted) for c in X._twisted]
     corners = {cid: c.corners for cid, c in X.cells.items()}
+    split = []  # see CubicalComplex.split_top_pairs
     for a, b in _pairs_sharing_two_corners(X.cells_at_vertex, corners):
         ca, cb = X.cells[a], X.cells[b]
         inter = set(ca.corners) & set(cb.corners)
@@ -637,6 +690,9 @@ def _verify_cw(X):
                     f"{sorted(maximal)} do not tile the corner intersection",
                 )
             )
+        if (len(maximal) > 1 or covered != inter) and not (X.cofaces[a] or X.cofaces[b]):
+            split.append((a, b))
+    X._split_tops = tuple(sorted(split))
     return ValidationReport(tuple(findings))
 
 

@@ -39,7 +39,7 @@ class TreeOfSpaces:
         }
 
 
-def build_tree(Y, labels, i, mirror_list=None):
+def build_tree(Y, labels, i):
     """The mirror/chamber incidence graph for folding coordinate ``i``.
 
     Mirrors of both sides of the coordinate become one vertex class; the
@@ -49,8 +49,7 @@ def build_tree(Y, labels, i, mirror_list=None):
     """
     if not 0 <= i < Y.dim:
         raise ValueError(f"coordinate {i} out of range for dimension {Y.dim}")
-    ml = mirrors(Y, labels) if mirror_list is None else mirror_list
-    mine = [M for M in ml if M.coordinate == i]
+    mine = [M for M in mirrors(Y, labels) if M.coordinate == i]
     # the mirrors of one coordinate are disjoint: no cell has every vertex
     # labelled both 0 and 1, and mirrors of one side are distinct components
     mirror_of = {c: M.index for M in mine for c in M.cells}
@@ -92,6 +91,6 @@ def build_tree(Y, labels, i, mirror_list=None):
 
 
 def build_all_trees(Y, labels):
-    """One decomposition per folding coordinate, built independently."""
-    ml = mirrors(Y, labels)
-    return tuple(build_tree(Y, labels, i, mirror_list=ml) for i in range(Y.dim))
+    """One decomposition per folding coordinate, each from the mirror list
+    that ``mirrors`` keeps on ``Y``."""
+    return tuple(build_tree(Y, labels, i) for i in range(Y.dim))

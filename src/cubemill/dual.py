@@ -32,7 +32,6 @@ class DualComplex:
     heights: dict  # dual vertex id (= source cell id) -> dimension of that cell
     _graph: dict = field(default=None, repr=False, compare=False)
     _square_index: dict = field(default=None, repr=False, compare=False)
-    _tops_at: dict = field(default=None, repr=False, compare=False)
     # surgery contexts, one per folding, filled by surgery.surgery_context
     _surgery: list = field(default_factory=list, repr=False, compare=False)
 
@@ -90,19 +89,15 @@ def build_dual(X):
 def tops_containing(D, dual_vertices):
     """Source top cells whose tile contains every one of the dual vertices.
 
-    Reads a dual vertex -> top cells index built on first use, so the cost
-    follows the number of vertices asked about, not the size of the complex.
+    Reads the source's kept index from each cell to the top cells above it
+    (``tops_above``), so the cost follows the number of vertices asked about,
+    not the size of the complex.
     """
     vs = set(dual_vertices)
     if not vs:
         return D.source.top_cells()
-    if D._tops_at is None:
-        at = {}
-        for t in D.source.top_cells():
-            for v in D.source.subcells(t):
-                at.setdefault(v, []).append(t)
-        D._tops_at = at
-    return [t for t in D._tops_at.get(next(iter(vs)), ()) if vs <= D.source.subcells(t)]
+    at = D.source.tops_above()
+    return [t for t in at.get(next(iter(vs)), ()) if vs <= D.source.subcells(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -320,17 +320,43 @@ class Mirror:
         }
 
 
+class _Kept:
+    """One folding's mirrors on a complex, with the separation reports of the
+    (coordinate, side) classes checked so far, by mirror index."""
+
+    __slots__ = ("labels", "mirrors", "reports")
+
+    def __init__(self, labels, ml):
+        self.labels = labels
+        self.mirrors = ml
+        self.reports = {}
+
+
 def mirrors(X, labels):
-    """All mirrors of the folding, in canonical (coordinate, side, least cell) order."""
+    """All mirrors of the folding, in canonical (coordinate, side, least cell) order.
+
+    The list is kept on ``X`` and found again by equality of ``labels`` with a
+    stored copy, so each call returns a new list of the same ``Mirror``
+    objects and a later change to the caller's dict does not reach it.
+    """
+    kept = next((k for k in X._foldings if k.labels == labels), None)
+    if kept is None:
+        kept = _Kept(dict(labels), tuple(_mirror_list(X, labels)))
+        X._foldings.append(kept)
+    return list(kept.mirrors)
+
+
+def _mirror_list(X, labels):
     n = X.dim
     full = (1 << max(n, 0)) - 1
+    cells = X.cells
     bits = {v: sum(1 << i for i, x in enumerate(_label_of(labels, v, n)) if x) for v in X.vertices}
     # one pass over the cells: the coordinates where all corners of a cell
     # read 1 (or 0) name every (coordinate, side) class that holds it
     members = {}
-    for cid in sorted(X.cells):
+    for cid in sorted(cells):
         ones = zeros = full
-        for v in X.cells[cid].corners:
+        for v in cells[cid].corners:
             ones &= bits[v]
             zeros &= ~bits[v]
         for side, m in ((0, zeros), (1, ones)):
@@ -338,19 +364,19 @@ def mirrors(X, labels):
                 members.setdefault((i, side), []).append(cid)
     out = []
     for (i, side), member in members.items():
-        dsu, member_set = _DSU(member), set(member)
-        for c in member:  # the vertices of the class are its 0-cells
-            if X.cells[c].dim == 0:
-                at = [d for d in X.cells_at_vertex[X.cells[c].corners[0]] if d in member_set]
-                for d in at[1:]:
-                    dsu.union(at[0], d)
+        # the cells of a class that share a corner are in one mirror
+        dsu = _DSU(cells[c].corners[0] for c in member if not cells[c].dim)
+        for c in member:
+            corners = cells[c].corners
+            for w in corners[1:]:
+                dsu.union(corners[0], w)
         comps = {}
         for c in member:
-            comps.setdefault(dsu.find(c), []).append(c)
-        out += [(i, side, root, frozenset(cells)) for root, cells in comps.items()]
+            comps.setdefault(dsu.find(cells[c].corners[0]), []).append(c)
+        out += [(i, side, min(cs), frozenset(cs)) for cs in comps.values()]
     out.sort(key=lambda entry: entry[:3])
     return [
-        Mirror(idx, i, side, cells) for idx, (i, side, _root, cells) in enumerate(out)
+        Mirror(idx, i, side, cells) for idx, (i, side, _least, cells) in enumerate(out)
     ]
 
 
@@ -414,10 +440,143 @@ def chambers_avoiding(X, cut):
 def mirror_separates(X, M):
     """Does the mirror separate all of its framings?
 
-    Components are the chambers of ``X`` cut along the mirror's cells.
+    Components are the chambers of ``X`` cut along the mirror's cells. A
+    mirror of a list that ``mirrors`` keeps on ``X`` is checked with every
+    mirror of its (coordinate, side) class, and the class's reports are kept
+    there; any other mirror is a class of its own.
     """
-    comps = chambers_avoiding(X, M.cells)
-    comp_of = {t: idx for idx, comp in enumerate(comps) for t in comp}
-    fr = framings(X, M)
-    separated = all(comp_of[c1] != comp_of[c2] for (_s, (c1, c2)) in fr)
-    return SeparationReport(separated, len(comps), len(fr))
+    for kept in X._foldings:
+        ml = kept.mirrors
+        if 0 <= M.index < len(ml) and ml[M.index] is M:
+            if M.index not in kept.reports:
+                key = (M.coordinate, M.side)
+                kept.reports.update(
+                    _class_separation(X, [N for N in ml if (N.coordinate, N.side) == key])
+                )
+            return kept.reports[M.index]
+    return _class_separation(X, [M])[M.index]
+
+
+def _class_separation(X, ms):
+    """Separation reports of the disjoint mirrors ``ms``, by mirror index.
+
+    One walk cuts ``X`` along all of them. A mirror's chambers are then the
+    components of the graph on the pieces joined through the codimension-1
+    cells of the other mirrors, and only the components that its own joins
+    touch are searched again.
+
+    Two top cells on a cell ``s`` of a mirror frame it exactly when they share
+    no corner off the mirror. A top cell on ``s`` outside the mirror has one
+    face that covers ``s`` and leaves the mirror, a coface of ``s``; where the
+    shared corners of two top cells are the corners of one common face, they
+    share a corner off the mirror exactly when they share that coface. So the
+    framings at ``s`` are the pairs of its top cells less the pairs on each of
+    its cofaces off the mirror, and a mirror separates unless a chamber holds
+    top cells on two of them (or one inside the mirror) at one of its
+    vertices. The pairs of ``split_top_pairs`` are read from their whole
+    intersection.
+    """
+    cells, cofaces = X.cells, X.cofaces
+    where = {c: pos for pos, M in enumerate(ms) for c in M.cells}  # cell -> mirror position
+    above = X.tops_above()
+    pieces = chambers_avoiding(X, where)
+    piece = {t: p for p, chamber in enumerate(pieces) for t in chamber}
+
+    counts = [0] * len(ms)
+    vertices = [[] for _ in ms]
+    joins = {}  # piece pair -> the mirrors joining it through a codimension-1 cell
+    codim1 = X.dim - 1
+    for s, pos in where.items():
+        if len(above[s]) > 1:
+            counts[pos] += _pairs(above[s]) - sum(
+                _pairs(above[c]) for c in cofaces[s] if c not in where
+            )
+        dim = cells[s].dim
+        if not dim:
+            vertices[pos].append(s)
+        if dim == codim1:
+            holders = cofaces[s]
+            for a, b in zip(holders, holders[1:]):
+                p, q = piece[a], piece[b]
+                if p != q:
+                    joins.setdefault((p, q) if p < q else (q, p), set()).add(pos)
+    split = {}  # cell -> the top pairs counted there that share a corner off its mirror
+    for a, b in X.split_top_pairs():
+        common = X.subcells(a) & X.subcells(b)
+        for s in common:
+            pos = where.get(s)
+            if (
+                pos is not None
+                and not common <= ms[pos].cells
+                and not any(c in common and c not in where for c in cofaces[s])
+            ):
+                counts[pos] -= 1
+                split.setdefault(s, set()).add((a, b))
+
+    # a pair of pieces that two mirrors join stays joined when either is
+    # taken away: its joins are marked -1
+    whole = _DSU(range(len(pieces)))
+    nbrs = {}
+    own = [set() for _ in ms]  # per mirror, the ends of the joins only it makes
+    for (p, q), by in joins.items():
+        whole.union(p, q)
+        (pos,) = by if len(by) == 1 else (-1,)
+        nbrs.setdefault(p, []).append((q, pos))
+        nbrs.setdefault(q, []).append((p, pos))
+        if pos >= 0:
+            own[pos].update((p, q))
+    whole_of = [whole.find(p) for p in range(len(pieces))]
+    n_whole = len(set(whole_of))
+    inside = {c for c in where if not cofaces[c]}  # top cells inside a mirror
+
+    out = {}
+    for pos, M in enumerate(ms):
+        # the components that this mirror's joins touch, searched without
+        # them; their labels are negative, apart from the roots in whole_of
+        comp = {}
+        for start in own[pos]:
+            if start not in comp:
+                comp[start] = label = -1 - len(comp)
+                todo = [start]
+                for p in todo:
+                    for q, by in nbrs[p]:
+                        if by != pos and q not in comp:
+                            comp[q] = label
+                            todo.append(q)
+        n_components = n_whole - len({whole_of[p] for p in own[pos]}) + len(set(comp.values()))
+
+        # a framing pair shares a vertex of the mirror: search its vertices
+        separates = True
+        for s in vertices[pos]:
+            if len(above[s]) < 2:
+                continue
+            on = [(piece[t], t, c) for c in cofaces[s] if c not in where for t in above[c]]
+            if inside:
+                on += [(piece[t], t, t) for t in inside.intersection(above[s])]
+            bad = split.get(s)
+            if bad:
+                groups = {}
+                for p, t, c in on:
+                    groups.setdefault(comp.get(p, whole_of[p]), []).append((t, c))
+                framed = any(_holds_a_framing(g, bad) for g in groups.values())
+            else:
+                first = {}
+                framed = any(first.setdefault(comp.get(p, whole_of[p]), c) != c for p, _t, c in on)
+            if framed:
+                separates = False
+                break
+        out[M.index] = SeparationReport(separates, n_components, counts[pos])
+    return out
+
+
+def _pairs(items):
+    return len(items) * (len(items) - 1) // 2
+
+
+def _holds_a_framing(group, bad):
+    """Whether two of the ``(top cell, coface)`` pairs of one chamber at a
+    vertex differ in coface, other than as one of the ``bad`` top pairs."""
+    return any(
+        c1 != c2 and (min(t1, t2), max(t1, t2)) not in bad
+        for (t1, c1), (t2, c2) in combinations(group, 2)
+    )

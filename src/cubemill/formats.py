@@ -12,6 +12,7 @@ on first access, so reading a complex does not import surgery.
 """
 
 import json
+import sys
 
 from .complexes import CubicalComplex, SimplicialComplex, name_key
 from .errors import FormatError
@@ -33,11 +34,31 @@ def dumps_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# Python 3.11 and later refuse integers of more than 4300 digits while
+# parsing (``sys.set_int_max_str_digits``); earlier versions get the same cap.
+_INT_DIGITS = 4300
+
+
+def _bounded_int(digits):
+    if len(digits.lstrip("-")) > _INT_DIGITS:
+        raise ValueError
+    return int(digits)
+
+
+_PARSE_INT = {} if hasattr(sys, "get_int_max_str_digits") else {"parse_int": _bounded_int}
+
+
 def _loads(text):
+    """Parse JSON text; nesting past the recursion limit and integers past
+    the digit limit are a FormatError like any other malformed text."""
     try:
-        return json.loads(text)
+        return json.loads(text, **_PARSE_INT)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise FormatError("invalid JSON: an integer has too many digits") from None
 
 
 def _expect(doc, field, types, where=""):

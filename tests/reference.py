@@ -12,7 +12,8 @@ cell's subcells for hyperplane carriers, every osculating pair of
 hyperplanes kept as a specialness candidate, networkx clique enumeration for
 flagness (over the direct links for the link condition and the dual
 axioms), hyperbolized links smoothed and compared by networkx isomorphism,
-one scan of every cell per (coordinate, side) class for mirrors,
+one scan of every cell per (coordinate, side) class for mirrors, one
+chamber walk and the whole framing list per mirror for separation,
 the mirror/chamber incidences tested pair by pair and networkx
 verdicts on that graph, one union-find pass over every codimension-1 cell
 per cut for chambers, every complement component of a mirror region over
@@ -31,6 +32,7 @@ from itertools import combinations
 
 import networkx as nx
 
+from cubemill import folding
 from cubemill.complexes import (
     CheckReport,
     Finding,
@@ -51,7 +53,14 @@ from cubemill.errors import (
     NotABridge,
     NotInTile,
 )
-from cubemill.folding import _DSU, FoldingObstruction, Mirror, _label_of, parallelism_classes
+from cubemill.folding import (
+    _DSU,
+    FoldingObstruction,
+    Mirror,
+    SeparationReport,
+    _label_of,
+    parallelism_classes,
+)
 from cubemill.surgery import (
     BacktrackRemoval,
     MoveChain,
@@ -896,3 +905,12 @@ def _parse_split_head(lines, n, head):
         raise FormatError("expected a projected line", line=n3)
     projected = tuple(_ints(parts[1:], n3))
     return rot, mirror, support, bridge, projected
+
+
+def mirror_separates(X, M):
+    """One chamber walk and the whole framing list per mirror."""
+    comps = folding.chambers_avoiding(X, M.cells)
+    comp_of = {t: idx for idx, comp in enumerate(comps) for t in comp}
+    fr = folding.framings(X, M)
+    separated = all(comp_of[c1] != comp_of[c2] for (_s, (c1, c2)) in fr)
+    return SeparationReport(separated, len(comps), len(fr))

@@ -161,6 +161,29 @@ def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, args):
     assert payload(r)["detail"] == "not UTF-8: unexpected end of data at byte 40"
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("[" * 100000, "invalid JSON: nested too deeply"),
+        (
+            '{"kind": "cubical", "maximal": [[%s]]}' % ("9" * 5000),
+            "invalid JSON: an integer has too many digits",
+        ),
+    ],
+    ids=["deep", "long-integer"],
+)
+def test_hostile_json_exits_2_with_a_format_error(tmp_path, text, detail):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    for args in (
+        ("validate", "--in", str(path)),
+        ("fold", "--fixture", "grid2", "--folding", str(path)),
+    ):
+        r = run(*args)
+        assert r.exit_code == 2
+        assert payload(r) == {"error": "FormatError", "detail": detail}
+
+
 def test_json_lines_count_bare_carriage_returns(tmp_path):
     path = tmp_path / "cr.json"
     path.write_bytes(b'{\r  "kind": "cubical",\r  "maximal": [\r}\r')

@@ -192,4 +192,3 @@ def test_tree_edges_match_the_pairwise_definition(name):
     for i in range(Y.dim):
         want = reference.tree_edges(Y, ml, i)
         assert build_tree(Y, labels, i).edges == want, i
-        assert build_tree(Y, labels, i, mirror_list=ml).edges == want, i

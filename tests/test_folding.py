@@ -1,14 +1,19 @@
+import json
 import random
 import time
 from itertools import product
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import reference
-from cubemill import folding
-from cubemill.complexes import Cube, CubicalComplex
+from cubemill import complexes, folding
+from cubemill.cli import main
+from cubemill.complexes import Cube, CubicalComplex, verify_cw
+from cubemill.decomposition import build_all_trees
+from cubemill.dual import build_dual
 from cubemill.errors import InternalError, NotFoldable, UnlabeledVertex, Unsupported
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
@@ -21,6 +26,8 @@ from cubemill.folding import (
     parallelism_classes,
     verify_folding,
 )
+from cubemill.formats import parse_complex, serialize_complex
+from cubemill.surgery import surgery_context
 from helpers import cube_grid_cells, grid3, grid_squares, mirror_list, rose, strip, tube
 
 
@@ -425,3 +432,113 @@ def test_parallel_lines_are_separate_mirrors():
         # every mirror is a line of 4 vertices and 3 edges
         dims = sorted(X.cells[c].dim for c in M.cells)
         assert dims == [0, 0, 0, 0, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# work counts of mirror separation and of the kept verdicts
+
+
+def _star(n):
+    return CubicalComplex.from_maximal_cells([(0, i) for i in range(1, n + 1)])
+
+
+def _separation_work(monkeypatch, X):
+    """Chamber walks, and top cells visited by them plus subcell reads, over
+    the separation of every mirror of ``X``."""
+    walks = []
+    walk = folding.chambers_avoiding
+    monkeypatch.setattr(
+        folding, "chambers_avoiding", lambda Y, cut: walks.append(len(Y.top_cells())) or walk(Y, cut)
+    )
+    reads = []
+    subcells = X.subcells
+    X.subcells = lambda cid: reads.append(cid) or subcells(cid)
+    try:
+        for M in mirrors(X, find_folding(X)):
+            mirror_separates(X, M)
+    finally:
+        del X.subcells
+        monkeypatch.undo()
+    return len(walks), sum(walks) + len(reads)
+
+
+@pytest.mark.parametrize("n", (10, 1000))
+def test_a_star_walks_its_chambers_once_per_class(monkeypatch, n):
+    X = _star(n)
+    walks, _visits = _separation_work(monkeypatch, X)
+    assert walks <= 2 * X.dim
+
+
+def test_separation_visits_grow_linearly_on_stars(monkeypatch):
+    # one walk per mirror and every framing pair at the hub read from subcells
+    # made this grow fourfold when the star doubled
+    _w, small = _separation_work(monkeypatch, _star(1000))
+    _w, large = _separation_work(monkeypatch, _star(2000))
+    assert large <= 2.2 * small
+
+
+def test_a_class_is_walked_once_for_all_its_mirrors(monkeypatch):
+    X = CubicalComplex.from_maximal_cells(grid_squares(6))
+    labels = find_folding(X)
+    ml = mirrors(X, labels)
+    walks, _visits = _separation_work(monkeypatch, X)
+    assert walks == len({(M.coordinate, M.side) for M in ml}) == 2 * X.dim
+    again, _visits = _separation_work(monkeypatch, X)
+    assert again == 0  # the class reports are kept on the complex
+
+
+def test_mirrors_are_kept_per_folding(monkeypatch):
+    X = CubicalComplex.from_maximal_cells(grid_squares(4))
+    labels = find_folding(X)
+    built = []
+    scan = folding._mirror_list
+    monkeypatch.setattr(folding, "_mirror_list", lambda Y, lab: built.append(1) or scan(Y, lab))
+    first = mirrors(X, labels)
+    trees = build_all_trees(X, labels)
+    D = build_dual(X)
+    surgery_context(D, dict(labels))
+    assert len(built) == 1  # the trees and the surgery context read the kept list
+    again = mirrors(X, dict(labels))
+    assert again == first and again is not first
+    assert all(a is b for a, b in zip(again, first))
+    assert build_all_trees(X, labels) == trees
+    # a changed folding gets its own list; the caller's dict is not kept
+    flipped = {v: tuple(1 - x for x in lab) for v, lab in labels.items()}
+    mine = dict(labels)
+    mirrors(X, mine)
+    mine.update(flipped)
+    assert {(M.coordinate, M.side, M.cells) for M in mirrors(X, mine)} == {
+        (M.coordinate, 1 - M.side, M.cells) for M in first
+    }
+    assert len(built) == 2
+    assert mirrors(X, labels) == first and len(built) == 2
+
+
+def test_strict_closures_are_never_scanned_for_relaxed_admissibility(monkeypatch, tmp_path):
+    scans = []
+    scan = complexes._verify_cw
+    monkeypatch.setattr(complexes, "_verify_cw", lambda X: scans.append(X) or scan(X))
+    files = [tmp_path / "grid.json", tmp_path / "cube6.json"]
+    files[0].write_text(json.dumps({"kind": "cubical", "maximal": grid_squares(4)}))
+    files[1].write_text(json.dumps({"kind": "cubical", "maximal": [list(range(64))]}))
+    built = [CubicalComplex.from_maximal_cells(cube_grid_cells(2)), _star(50), fixture("grid2").complex]
+    for X in built + [parse_complex(f.read_text()) for f in files]:
+        assert verify_cw(X).ok and X.split_top_pairs() == ()
+        labels = find_folding(X)
+        D = build_dual(X)
+        for M in mirrors(X, labels):
+            mirror_separates(X, M)
+        build_all_trees(X, labels)
+        surgery_context(D, labels)
+    assert scans == []
+    CliRunner().invoke(main, ["validate", "--in", str(files[1])], catch_exceptions=False)
+    assert scans == []
+    # unchecked lists and cell tables from outside are scanned once, and the
+    # split top pairs come from that scan
+    X = CubicalComplex.from_maximal_cells(grid_squares(2), check=False)
+    Y = parse_complex(serialize_complex(fixture("gdelta2").complex))
+    for Z in (X, Y):
+        assert verify_cw(Z).ok
+        Z.split_top_pairs()
+        verify_cw(Z)
+    assert scans == [X, Y] and Y.split_top_pairs()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cubemill import formats
 from cubemill.complexes import SimplicialComplex, barsub
 from cubemill.errors import FormatError
 from cubemill.fixtures import FIXTURE_NAMES, fixture
@@ -153,6 +154,37 @@ def test_invalid_json_reports_its_line():
     with pytest.raises(FormatError) as e:
         parse_complex('{\n  "kind": "cubical",\n  "maximal": [\n}\n')
     assert e.value.line == 4
+
+
+DEEP = "[" * 100000
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP,
+        '{"kind": "cubical", "maximal": ' + DEEP,
+        '{"kind": "cubical", "maximal": [[%s]]}' % LONG,
+    ],
+    ids=["deep", "deep-field", "long-integer"],
+)
+def test_hostile_json_is_a_format_error(text):
+    for parse in (parse_complex, parse_folding):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse(text)
+
+
+def test_long_integers_are_refused_where_the_interpreter_has_no_digit_cap(monkeypatch):
+    # interpreters before 3.11 parse any integer; the parser caps them alike
+    monkeypatch.setattr(formats, "_PARSE_INT", {"parse_int": formats._bounded_int})
+    with pytest.raises(FormatError, match="too many digits"):
+        parse_folding('{"kind": "folding", "labels": [[-%s, [0]]]}' % LONG)
+    edge = "9" * formats._INT_DIGITS
+    assert parse_folding('{"kind": "folding", "labels": [[-%s, [0]]]}' % edge) == {
+        -int(edge): (0,)
+    }
+    assert parse_complex('{"kind": "cubical", "maximal": [[0, 1]]}').counts() == {0: 2, 1: 1}
 
 
 def test_unknown_document_kinds_are_rejected():

@@ -3,9 +3,11 @@
 Framings, strict validation, the maximal common faces of relaxed validation,
 the edges at a cube corner, links, the cubical subdivision, hyperplane
 carriers and chambers are found from vertex, corner-pair, coface, per-cell
-face and top-adjacency indexes, and the dual axioms check sublinks only under
-links that are not flag; ``reference`` keeps the direct definitions. Outputs
-must agree in full, order included.
+face and top-adjacency indexes, the dual axioms check sublinks only under
+links that are not flag, mirror separation takes one chamber walk per
+(coordinate, side) class and counts framings by coface, and checked strict
+closures carry their relaxed verdict unscanned; ``reference`` keeps the
+direct definitions. Outputs must agree in full, order included.
 """
 
 import json
@@ -35,7 +37,7 @@ from cubemill.complexes import (
 )
 from cubemill.curvature import check_npc, check_special, hyperplanes
 from cubemill.dual import DualComplex, build_dual, verify_dual_axioms
-from cubemill.errors import CellNotFound, NotAdmissible
+from cubemill.errors import CellNotFound, NotAdmissible, NotFoldable, Unsupported
 from cubemill.fixtures import FIXTURE_NAMES, fixture
 from cubemill.folding import (
     chambers_avoiding,
@@ -46,7 +48,15 @@ from cubemill.folding import (
 )
 from cubemill.gromov import boundary_complex, gromov_hyperbolize
 from cubemill.surgery import surgery_context
-from helpers import cube_grid_cells, doubled_square_lists, grid_squares, outcome, strip
+from helpers import (
+    annulus,
+    cube_grid_cells,
+    doubled_square_lists,
+    grid_squares,
+    outcome,
+    rose,
+    strip,
+)
 
 CASES = (
     *FIXTURE_NAMES,
@@ -280,7 +290,8 @@ def test_relaxed_validation_matches_the_pairwise_definition(name):
 
 
 def test_build_dual_reuses_the_admissibility_verdict(monkeypatch):
-    X = CubicalComplex.from_maximal_cells(grid_squares(3))
+    # unchecked lists carry no recorded verdict, so the first request scans
+    X = CubicalComplex.from_maximal_cells(grid_squares(3), check=False)
     scans = []
     scan = complexes._verify_cw
     monkeypatch.setattr(complexes, "_verify_cw", lambda X: scans.append(X) or scan(X))
@@ -729,3 +740,131 @@ def test_dual_axioms_match_on_links_that_are_not_flag(seed):
         # the bottom and top corners see three edges up (down): a hollow
         # triangle; the other six see two and one, both flag
         assert checks["sublinks-flag"] == ("fail", "2 violations, first [0, 7]")
+
+
+# ---------------------------------------------------------------------------
+# mirror separation: one pass per (coordinate, side) class against one
+# chamber walk and the whole framing list per mirror
+
+MIXED = (
+    [(0, 1, 2, 3), (0, 4, 5, 6), (3, 7), (7, 6)],
+    {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0), 5: (0, 1), 6: (1, 1), 7: (1, 0)},
+)
+
+
+def _assert_separation_matches(X, labels):
+    """Every mirror of a kept list, and every mirror of the reference list (a
+    class of its own each), gets the per-mirror report."""
+    for M in mirrors(X, labels):
+        assert mirror_separates(X, M) == reference.mirror_separates(X, M), M.index
+    for M in reference.mirrors(X, labels):
+        assert mirror_separates(X, M) == reference.mirror_separates(X, M), M.index
+
+
+@lru_cache(maxsize=None)
+def separation_case(name):
+    if name in CASES:
+        return case(name)
+    if name == "mixed":
+        return CubicalComplex.from_maximal_cells(MIXED[0]), MIXED[1]
+    if name in STARS_AND_BOOKS:
+        X = CubicalComplex.from_maximal_cells(STARS_AND_BOOKS[name])
+    elif name == "annulus":
+        X = annulus()
+    elif name.startswith("grid"):
+        X = CubicalComplex.from_maximal_cells(grid_squares(int(name[4:])))
+    elif name.startswith("strip"):
+        X = strip(int(name[5:]))
+    elif name.startswith("cubes"):
+        X = CubicalComplex.from_maximal_cells(cube_grid_cells(int(name[5:])))
+    else:
+        X = rose(int(name[4:]))
+    return X, find_folding(X)
+
+
+SEPARATION_CASES = (
+    *CASES,
+    "mixed",
+    "star40",
+    *(name for name in sorted(STARS_AND_BOOKS) if name.startswith("book") and "bad" not in name),
+    "annulus",
+    "grid4",
+    "strip4",
+    "cubes2",
+    "rose2",
+    "rose4",
+)
+
+
+@pytest.mark.parametrize("name", SEPARATION_CASES)
+def test_separation_matches_the_per_mirror_definition(name):
+    X, labels = separation_case(name)
+    _assert_separation_matches(X, labels)
+
+
+def test_every_mirror_of_the_mixed_complex_separates():
+    X, labels = separation_case("mixed")
+    assert all(mirror_separates(X, M).separates for M in mirrors(X, labels))
+
+
+def _fold_or_none(X):
+    try:
+        return find_folding(X)
+    except (NotFoldable, Unsupported):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_list_families())
+@example([(0, 1, 2, 3), (1, 0, 3, 2)])  # doubled squares
+@example([(0, 1, 2, 3), (0, 4, 5, 3)])  # two squares on opposite corners
+@example([(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)])  # a book on one spine
+def test_separation_matches_on_random_families(lists):
+    # cells are embedded, so lists with a repeated corner are left out
+    lists = [arr for arr in lists if len(set(arr)) == len(arr)]
+    assume(lists)
+    closures = [_glued_by_corner_sets(lists)]
+    if validate_cubical(lists).ok:
+        closures.append(CubicalComplex.from_maximal_cells(lists))
+    for X in closures:
+        labels = _fold_or_none(X)
+        if labels is not None:
+            _assert_separation_matches(X, labels)
+
+
+# ---------------------------------------------------------------------------
+# the relaxed verdict recorded on checked strict closures
+
+
+def _assert_recorded_verdict_is_the_scan(lists):
+    X = CubicalComplex.from_maximal_cells(lists)
+    recorded, split = verify_cw(X), X.split_top_pairs()
+    assert recorded.ok and split == ()
+    assert recorded == reference.verify_cw(X)
+    assert complexes._verify_cw(X) == recorded  # the scan the record stands for
+    assert X.split_top_pairs() == split
+
+
+@settings(max_examples=200, deadline=None)
+@given(corner_list_families())
+def test_recorded_strict_verdict_matches_on_random_families(lists):
+    # the lists that keep the family strict, taken in order
+    strict = []
+    for arr in lists:
+        if validate_cubical(strict + [arr]).ok:
+            strict.append(arr)
+    assume(strict)
+    _assert_recorded_verdict_is_the_scan(strict)
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [
+        *(cube_grid_cells(k) for k in (1, 2, 3)),
+        grid_squares(5),
+        *([tuple(range(1 << k))] for k in range(7)),
+    ],
+    ids=[*(f"cubes{k}" for k in (1, 2, 3)), "grid5", *(f"cube{k}" for k in range(7))],
+)
+def test_recorded_strict_verdict_matches_the_scan(lists):
+    _assert_recorded_verdict_is_the_scan(lists)
